@@ -484,18 +484,24 @@ Result<std::vector<ViewResult>> ExecutePlan(db::Engine* engine,
   ViewProcessor processor(metric);
   bool cancelled = false;
   bool budget_exceeded = false;
-  size_t queries_executed = 0;
-  size_t agg_state_bytes = 0;
   std::vector<double> query_seconds(plan.queries.size(), 0.0);
-  // The per-query analogue of the fused scan's merged-state footprint: all
-  // result groups are retained in the processor until Finish, so the
-  // metered unit is the cumulative groups x aggregates x sizeof(AggState)
-  // across the queries executed so far.
-  const auto result_bytes = [](const PlannedQuery& pq,
-                               const std::vector<db::Table>& results) {
-    size_t groups = 0;
-    for (const db::Table& t : results) groups += t.num_rows();
-    return groups * pq.query.aggregates.size() * sizeof(db::AggState);
+  // kPerQuery runs every planned query as its own one-query batch. Each
+  // batch's statistics describe that pass alone, so summing them gives this
+  // run's exact work however many runs share the engine. The metered
+  // footprint is the cumulative merged agg state of the batches so far: all
+  // result groups are retained in the processor until Finish.
+  ExecutionReport work;
+  const auto account = [&work](const db::SharedScanStats& stats) {
+    ++work.queries_executed;
+    ++work.table_scans;
+    work.rows_scanned += stats.rows_scanned;
+    work.vectorized_morsels += stats.vectorized_morsels;
+    work.simd_morsels += stats.simd_morsels;
+    work.agg_state_bytes += stats.agg_state_bytes;
+  };
+  const auto over_budget = [&] {
+    return options.memory_budget_bytes > 0 &&
+           work.agg_state_bytes > options.memory_budget_bytes;
   };
   if (options.parallelism <= 1) {
     for (size_t i = 0; i < plan.queries.size(); ++i) {
@@ -504,15 +510,14 @@ Result<std::vector<ViewResult>> ExecutePlan(db::Engine* engine,
         break;
       }
       Stopwatch qt;
+      db::SharedScanStats stats;
       SEEDB_ASSIGN_OR_RETURN(std::vector<db::Table> results,
-                             engine->Execute(plan.queries[i].query));
+                             engine->Execute(plan.queries[i].query, &stats));
       query_seconds[i] = qt.ElapsedSeconds();
-      ++queries_executed;
-      agg_state_bytes += result_bytes(plan.queries[i], results);
+      account(stats);
       SEEDB_RETURN_IF_ERROR(
           processor.Consume(plan.queries[i], std::move(results)));
-      if (options.memory_budget_bytes > 0 &&
-          agg_state_bytes > options.memory_budget_bytes) {
+      if (over_budget()) {
         budget_exceeded = true;
         break;
       }
@@ -535,24 +540,21 @@ Result<std::vector<ViewResult>> ExecutePlan(db::Engine* engine,
         if (budget_exceeded) return;
       }
       Stopwatch qt;
-      auto result = engine->Execute(plan.queries[i].query);
+      db::SharedScanStats stats;
+      auto result = engine->Execute(plan.queries[i].query, &stats);
       double elapsed = qt.ElapsedSeconds();
       base::MutexLock lock(&mu);
       query_seconds[i] = elapsed;
-      ++queries_executed;
       if (!result.ok()) {
         if (first_error.ok()) first_error = result.status();
         return;
       }
+      account(stats);
       if (first_error.ok()) {
-        agg_state_bytes += result_bytes(plan.queries[i], *result);
         Status s =
             processor.Consume(plan.queries[i], std::move(result).ValueOrDie());
         if (!s.ok()) first_error = s;
-        if (options.memory_budget_bytes > 0 &&
-            agg_state_bytes > options.memory_budget_bytes) {
-          budget_exceeded = true;
-        }
+        if (over_budget()) budget_exceeded = true;
       }
     });
     if (!first_error.ok()) return first_error;
@@ -565,12 +567,11 @@ Result<std::vector<ViewResult>> ExecutePlan(db::Engine* engine,
       std::vector<ViewResult> results,
       processor.Finish(/*allow_partial=*/cancelled || budget_exceeded));
   if (report) {
+    *report = std::move(work);
     report->total_seconds = total_timer.ElapsedSeconds();
     report->query_seconds = std::move(query_seconds);
     report->cancelled = cancelled;
     report->budget_exceeded = budget_exceeded;
-    report->queries_executed = queries_executed;
-    report->agg_state_bytes = agg_state_bytes;
   }
   return results;
 }

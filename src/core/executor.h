@@ -7,12 +7,14 @@
 // over a thread pool; per-query latencies are recorded so benches can report
 // both sides of the trade-off.
 //
-// Three strategies are offered. kPerQuery is the paper's inter-query
-// parallelism: each planned query is an independent pass over the table, and
-// the pool runs passes concurrently. kSharedScan is the logical endpoint of
-// §3.3's sharing argument: the whole plan is handed to db/shared_scan.h and
-// answered in ONE morsel-driven pass, with intra-scan parallelism — it gets
-// faster with cores, not with query count. kPhasedSharedScan runs that same
+// Three strategies are offered, all over the engine's one executor, the
+// shared scan (db/shared_scan.h). kPerQuery is the paper's inter-query
+// parallelism: each planned query is its own one-query, single-threaded
+// batch — an independent pass over the table — and the pool runs passes
+// concurrently. kSharedScan is the logical endpoint of §3.3's sharing
+// argument: the whole plan is one batch answered in ONE morsel-driven pass,
+// with intra-scan parallelism — it gets faster with cores, not with query
+// count. kPhasedSharedScan runs that same
 // fused pass as N sequential table slices and, at each phase boundary,
 // re-estimates every surviving view's utility from its running (un-finalized)
 // aggregates and lets an online pruner (core/online_pruning.h) retire views
@@ -80,8 +82,8 @@ struct ExecutorOptions {
   /// Cap on the plan's aggregation-state footprint in bytes; 0 = unlimited.
   /// Fused strategies meter the scan's merged agg state at every phase
   /// boundary (one boundary for kSharedScan); kPerQuery meters the
-  /// cumulative groups x aggregates x sizeof(AggState) of the results
-  /// retained so far and stops issuing queries on a breach. Either way the
+  /// cumulative merged agg state of the one-query batches run so far (their
+  /// results are all retained) and stops issuing queries on a breach. Either way the
   /// run ends gracefully with ExecutionReport::budget_exceeded set and
   /// partial results over the work already done — the same contract as
   /// SeeDBOptions::memory_budget_bytes under the phased session.
@@ -121,17 +123,17 @@ struct ExecutionReport {
   bool early_stopped = false;
   /// The run was cut short by ExecutorOptions::cancel; results are partial.
   bool cancelled = false;
-  /// Engine work attributable to THIS run, so concurrent runs on one
-  /// engine do not bleed into each other's profiles. The fused strategies
-  /// fill all three exactly (table_scans = 1 per batch); kPerQuery fills
-  /// queries_executed only (table_scans stays 0 — the facade falls back to
-  /// engine-wide counter deltas there).
+  /// Engine work attributable to THIS run, summed from its own batches'
+  /// statistics, so concurrent runs on one engine do not bleed into each
+  /// other's profiles. The fused strategies run one batch (table_scans = 1);
+  /// kPerQuery runs one batch per query executed (table_scans =
+  /// queries_executed, rows_scanned summed over those passes).
   size_t queries_executed = 0;
   size_t table_scans = 0;
   uint64_t rows_scanned = 0;
-  /// Morsels of the fused pass whose inner loop ran the vectorized kernels
-  /// (db/vec/) for at least one grouping set; 0 under kPerQuery or when
-  /// every set fell back to the hash path.
+  /// Morsels of the run's passes whose inner loop ran the vectorized
+  /// kernels (db/vec/) for at least one grouping set; 0 when every set fell
+  /// back to the hash path.
   uint64_t vectorized_morsels = 0;
   /// Of those, morsels that additionally ran the explicit-SIMD kernel tier
   /// (db/vec/simd/); 0 when the tier is off or unavailable.
@@ -142,8 +144,8 @@ struct ExecutionReport {
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   /// Aggregation-state footprint of the run in bytes: the fused scan's
-  /// merged state, or the cumulative groups x aggregates x sizeof(AggState)
-  /// of per-query results — what memory_budget_bytes is metered against.
+  /// merged state, or the sum over kPerQuery's batches — what
+  /// memory_budget_bytes is metered against.
   size_t agg_state_bytes = 0;
   /// The run stopped before completing every planned unit of work because
   /// the aggregation-state footprint crossed

@@ -115,7 +115,6 @@ Result<RecommendationSession> SeeDB::Open(const SeeDBRequest& request) {
   session.total_rows_ = exec_data->num_rows();
   session.planning_seconds_ = plan_timer.ElapsedSeconds();
 
-  session.stats_before_ = engine_->stats();
   if (options.strategy == ExecutionStrategy::kPhasedSharedScan &&
       !session.plan_->queries.empty()) {
     SEEDB_ASSIGN_OR_RETURN(
@@ -266,9 +265,10 @@ Result<std::optional<ProgressUpdate>> RecommendationSession::NextBlocking() {
   update.total_phases = 1;
   update.phase_seconds = exec_timer.ElapsedSeconds();
   // Fused runs report the scan's own row count (exact even under
-  // cancellation); a cancelled per-query run estimates by the fraction of
-  // queries that completed — each one was a full table pass.
-  if (report_.table_scans > 0) {
+  // cancellation); a per-query run made one full pass per query, so a
+  // cancelled one estimates by the fraction of queries that completed.
+  if (options_.strategy != ExecutionStrategy::kPerQuery &&
+      report_.table_scans > 0) {
     update.rows_scanned = report_.rows_scanned;
   } else if (report_.cancelled && !plan_->queries.empty()) {
     update.rows_scanned = static_cast<uint64_t>(total_rows_) *
@@ -344,7 +344,6 @@ Result<RecommendationSet> RecommendationSession::Finish() {
     }
   }
   finished_ = true;
-  db::EngineStatsSnapshot after = engine_->stats();
 
   RecommendationSet set;
   set.metric = options_.metric;
@@ -383,25 +382,16 @@ Result<RecommendationSet> RecommendationSession::Finish() {
       (phased_ != nullptr && cancelled() && !report_.early_stopped &&
        phased_->rows_consumed() < phased_->num_rows());
   set.profile.budget_exceeded = budget_exceeded_;
-  if (report_.table_scans > 0) {
-    // Exact per-run counts from the scan itself: concurrent sessions on
-    // one engine do not bleed into each other's profiles.
-    set.profile.queries_issued = report_.queries_executed;
-    set.profile.table_scans = report_.table_scans;
-    set.profile.rows_scanned = report_.rows_scanned;
-    set.profile.vectorized_morsels = report_.vectorized_morsels;
-    set.profile.simd_morsels = report_.simd_morsels;
-    set.profile.cache_hits = report_.cache_hits;
-    set.profile.cache_misses = report_.cache_misses;
-  } else {
-    // kPerQuery: engine-wide counter deltas (no per-run accounting there;
-    // concurrent runs may interleave).
-    set.profile.queries_issued =
-        after.queries_executed - stats_before_.queries_executed;
-    set.profile.table_scans = after.table_scans - stats_before_.table_scans;
-    set.profile.rows_scanned =
-        after.rows_scanned - stats_before_.rows_scanned;
-  }
+  // Exact per-run counts, summed by the executor from the run's own batches:
+  // concurrent sessions on one engine do not bleed into each other's
+  // profiles, whatever the strategy.
+  set.profile.queries_issued = report_.queries_executed;
+  set.profile.table_scans = report_.table_scans;
+  set.profile.rows_scanned = report_.rows_scanned;
+  set.profile.vectorized_morsels = report_.vectorized_morsels;
+  set.profile.simd_morsels = report_.simd_morsels;
+  set.profile.cache_hits = report_.cache_hits;
+  set.profile.cache_misses = report_.cache_misses;
   set.profile.planning_seconds = planning_seconds_;
   set.profile.execution_seconds = report_.total_seconds;
   set.profile.total_seconds = total_timer_.ElapsedSeconds();

@@ -136,7 +136,7 @@ class SeeDBRequest {
   }
   /// Per-session cap on the run's aggregation-state footprint (bytes):
   /// the fused scan's merged state, metered at phase boundaries, or the
-  /// cumulative per-query result state under kPerQuery; see
+  /// cumulative merged state of kPerQuery's one-query batches; see
   /// SeeDBOptions::memory_budget_bytes. 0 = unlimited.
   SeeDBRequest& WithMemoryBudget(size_t budget_bytes) {
     options_.memory_budget_bytes = budget_bytes;
@@ -307,7 +307,6 @@ class RecommendationSession {
   // Planning products, fixed at Open() time.
   PruningReport static_pruning_;
   std::unique_ptr<ExecutionPlan> plan_;
-  db::EngineStatsSnapshot stats_before_;
   double planning_seconds_ = 0.0;
   /// Rows of the table the plan scans (the sample when materialized
   /// sampling redirected it).

@@ -56,63 +56,34 @@ void UpdatePeak(std::atomic<uint64_t>* peak, uint64_t candidate) {
   }
 }
 
+// Per-query execution is the paper's baseline: each query is its own
+// single-threaded pass over the table, never answered from the result cache.
+SharedScanOptions PerQueryOptions() {
+  SharedScanOptions options;
+  options.num_threads = 1;
+  options.use_result_cache = false;
+  return options;
+}
+
 }  // namespace
 
 Result<Table> Engine::Execute(const GroupByQuery& query) {
-  SEEDB_ASSIGN_OR_RETURN(const Table* table, catalog_->GetTable(query.table));
-  Stopwatch timer;
-  GroupByStats qstats;
-  SEEDB_ASSIGN_OR_RETURN(Table result,
-                         ExecuteGroupBy(*table, query, &qstats));
-  queries_executed_.fetch_add(1, std::memory_order_relaxed);
-  table_scans_.fetch_add(1, std::memory_order_relaxed);
-  rows_scanned_.fetch_add(qstats.rows_scanned, std::memory_order_relaxed);
-  groups_created_.fetch_add(qstats.num_groups, std::memory_order_relaxed);
-  UpdatePeak(&peak_agg_state_bytes_, qstats.agg_state_bytes);
-  const uint64_t exec_us = static_cast<uint64_t>(timer.ElapsedMicros());
-  total_exec_micros_.fetch_add(exec_us, std::memory_order_relaxed);
-  // The per-query path never enters the shared-scan machinery, so it feeds
-  // the registry here: engine.phase.latency_us has no analogue (there are
-  // no phases), engine.query.latency_us is its standalone counterpart.
-  static obs::Histogram* query_latency =
-      obs::Registry::Global().GetHistogram("engine.query.latency_us");
-  static obs::Counter* obs_rows =
-      obs::Registry::Global().GetCounter("engine.scan.rows");
-  query_latency->Observe(exec_us);
-  obs_rows->Add(qstats.rows_scanned);
-  RecordAccess(query.table, query.group_by, query.aggregates,
-               query.where.get());
-  return result;
+  GroupingSetsQuery q;
+  q.table = query.table;
+  q.where = query.where;
+  q.grouping_sets = {query.group_by};
+  q.aggregates = query.aggregates;
+  q.sample_fraction = query.sample_fraction;
+  q.sample_seed = query.sample_seed;
+  SEEDB_ASSIGN_OR_RETURN(std::vector<Table> results, Execute(q));
+  return std::move(results[0]);
 }
 
-Result<std::vector<Table>> Engine::Execute(const GroupingSetsQuery& query) {
-  SEEDB_ASSIGN_OR_RETURN(const Table* table, catalog_->GetTable(query.table));
-  Stopwatch timer;
-  GroupingSetsStats qstats;
-  SEEDB_ASSIGN_OR_RETURN(std::vector<Table> results,
-                         ExecuteGroupingSets(*table, query, &qstats));
-  queries_executed_.fetch_add(1, std::memory_order_relaxed);
-  // The defining property of GROUPING SETS: one scan regardless of set count.
-  table_scans_.fetch_add(1, std::memory_order_relaxed);
-  rows_scanned_.fetch_add(qstats.rows_scanned, std::memory_order_relaxed);
-  groups_created_.fetch_add(qstats.total_groups, std::memory_order_relaxed);
-  UpdatePeak(&peak_agg_state_bytes_, qstats.agg_state_bytes);
-  const uint64_t exec_us = static_cast<uint64_t>(timer.ElapsedMicros());
-  total_exec_micros_.fetch_add(exec_us, std::memory_order_relaxed);
-  // Same registry feed as the GroupByQuery overload: this is the fused
-  // per-query path (one scan, no phases).
-  static obs::Histogram* query_latency =
-      obs::Registry::Global().GetHistogram("engine.query.latency_us");
-  static obs::Counter* obs_rows =
-      obs::Registry::Global().GetCounter("engine.scan.rows");
-  query_latency->Observe(exec_us);
-  obs_rows->Add(qstats.rows_scanned);
-  std::vector<std::string> group_cols;
-  for (const auto& set : query.grouping_sets) {
-    group_cols.insert(group_cols.end(), set.begin(), set.end());
-  }
-  RecordAccess(query.table, group_cols, query.aggregates, query.where.get());
-  return results;
+Result<std::vector<Table>> Engine::Execute(const GroupingSetsQuery& query,
+                                           SharedScanStats* stats) {
+  SEEDB_ASSIGN_OR_RETURN(std::vector<std::vector<Table>> results,
+                         ExecuteShared({query}, PerQueryOptions(), stats));
+  return std::move(results[0]);
 }
 
 Status SharedScanSession::RunPhase(size_t row_begin, size_t row_end) {
@@ -139,9 +110,10 @@ void Engine::RecordSharedBatch(const std::vector<GroupingSetsQuery>& queries,
                                const SharedScanStats& stats,
                                uint64_t exec_micros) {
   queries_executed_.fetch_add(queries.size(), std::memory_order_relaxed);
-  // The fused batch is ONE pass over the base table, however many view
-  // queries (or phases) it spans — the invariant the shared-scan tests pin
-  // down.
+  // Every engine query runs as a batch, and a batch is ONE pass over the
+  // base table, however many view queries (or phases) it spans — the
+  // invariant the shared-scan tests pin down. This is the only place the
+  // engine counters move.
   table_scans_.fetch_add(1, std::memory_order_relaxed);
   shared_scan_batches_.fetch_add(1, std::memory_order_relaxed);
   vectorized_morsels_.fetch_add(stats.vectorized_morsels,
@@ -200,11 +172,14 @@ void Engine::EnableResultCache(size_t budget_bytes) {
 
 Result<std::vector<std::vector<Table>>> Engine::ExecuteShared(
     const std::vector<GroupingSetsQuery>& queries,
-    const SharedScanOptions& options) {
+    const SharedScanOptions& options, SharedScanStats* stats) {
   SEEDB_ASSIGN_OR_RETURN(SharedScanSession session,
                          BeginShared(queries, options));
   SEEDB_RETURN_IF_ERROR(session.RunPhase(0, session.num_rows()));
-  return session.Finalize();
+  SEEDB_ASSIGN_OR_RETURN(std::vector<std::vector<Table>> results,
+                         session.Finalize());
+  if (stats != nullptr) *stats = session.stats();
+  return results;
 }
 
 Result<Table> Engine::ExecuteSql(const std::string& sql) {
@@ -213,7 +188,6 @@ Result<Table> Engine::ExecuteSql(const std::string& sql) {
     SEEDB_ASSIGN_OR_RETURN(GroupingSetsQuery q,
                            sql::PlanGroupingSets(stmt));
     SEEDB_ASSIGN_OR_RETURN(std::vector<Table> results, Execute(q));
-    if (results.empty()) return Status::Internal("no result sets");
     return std::move(results[0]);
   }
   SEEDB_ASSIGN_OR_RETURN(GroupByQuery q, sql::PlanGroupBy(stmt));

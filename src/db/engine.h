@@ -1,10 +1,14 @@
 // Engine: the query entry point of the embedded DBMS, with the per-pass cost
 // accounting SeeDB's optimizer study measures.
 //
-// Every §3.3 optimization is a claim about scans and shared work. The engine
-// therefore counts observable costs — queries executed, table scans, rows and
-// cells touched, aggregation working memory — so benches and tests can verify
-// e.g. that combining target and comparison views exactly halves scans.
+// Every query runs through the shared scan (db/shared_scan.h): Execute() and
+// ExecuteSql() are one-query batches, ExecuteShared() and BeginShared() take
+// whole plans. Every §3.3 optimization is a claim about scans and shared
+// work. The engine therefore counts observable costs — queries executed,
+// table scans, rows and cells touched, aggregation working memory — so
+// benches and tests can verify e.g. that combining target and comparison
+// views exactly halves scans. Each finished batch folds its counters in
+// once, in RecordSharedBatch.
 
 #ifndef SEEDB_DB_ENGINE_H_
 #define SEEDB_DB_ENGINE_H_
@@ -31,7 +35,8 @@ struct EngineStatsSnapshot {
   /// Passes over a base table (a GROUPING SETS query is one scan; a whole
   /// shared-scan batch is one scan regardless of how many queries it fuses).
   uint64_t table_scans = 0;
-  /// Fused shared-scan batches executed (each contributed one table scan).
+  /// Shared-scan batches executed, one-query Execute() batches included
+  /// (each contributed one table scan).
   uint64_t shared_scan_batches = 0;
   /// Morsels of those batches whose inner loop ran the vectorized kernels
   /// (db/vec/) for at least one grouping set — 0 when every set fell back
@@ -43,7 +48,7 @@ struct EngineStatsSnapshot {
   uint64_t simd_morsels = 0;
   uint64_t rows_scanned = 0;
   uint64_t groups_created = 0;
-  /// Largest per-query aggregation working set seen.
+  /// Largest per-batch aggregation working set seen.
   uint64_t peak_agg_state_bytes = 0;
   uint64_t total_exec_micros = 0;
   /// Cross-session result cache (EnableResultCache): (query, grouping set)
@@ -133,21 +138,27 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Executes a grouped aggregation (one table scan).
+  /// Executes a grouped aggregation: a one-query batch (one table scan).
   Result<Table> Execute(const GroupByQuery& query);
 
-  /// Executes a multi-group-by query (one shared table scan).
-  Result<std::vector<Table>> Execute(const GroupingSetsQuery& query);
+  /// Executes a multi-group-by query as a one-query batch: one
+  /// single-threaded table scan that bypasses the result cache — the
+  /// paper's per-query baseline. `stats` (optional) receives the batch's
+  /// own scan statistics.
+  Result<std::vector<Table>> Execute(const GroupingSetsQuery& query,
+                                     SharedScanStats* stats = nullptr);
 
   /// Executes a whole batch of multi-group-by queries in ONE fused
   /// morsel-driven pass (db/shared_scan.h). All queries must target the same
   /// table. Every query still counts in `queries_executed`, but the batch
   /// records exactly one `table_scans` increment — the engine-level
   /// realization of §3.3's scan-sharing argument. Result `[q]` matches
-  /// Execute(queries[q]).
+  /// Execute(queries[q]). `stats` (optional) receives the batch's own scan
+  /// statistics.
   Result<std::vector<std::vector<Table>>> ExecuteShared(
       const std::vector<GroupingSetsQuery>& queries,
-      const SharedScanOptions& options = {});
+      const SharedScanOptions& options = {},
+      SharedScanStats* stats = nullptr);
 
   /// Opens a resumable fused scan over `queries` (all against one table)
   /// that the caller advances phase by phase — the engine face of
@@ -186,9 +197,10 @@ class Engine {
                     const std::vector<std::string>& group_cols,
                     const std::vector<AggregateSpec>& aggs,
                     const Predicate* where);
-  /// Folds one finished shared-scan batch (one-shot or phased session) into
+  /// Folds one finished batch (one-query, one-shot or phased session) into
   /// the counters: 1 table scan, queries.size() queries, the batch's rows /
-  /// groups / working set, and access-tracker entries.
+  /// groups / working set, and access-tracker entries. The only writer of
+  /// the counters below besides ResetStats().
   void RecordSharedBatch(const std::vector<GroupingSetsQuery>& queries,
                          const SharedScanStats& stats, uint64_t exec_micros);
 

@@ -5,13 +5,18 @@
 // with optional per-aggregate FILTER predicates (conditional aggregation),
 // multiple aggregates per query (§3.3 "Combine Multiple Aggregates"), and an
 // optional Bernoulli sample of the scan (§3.3 "Sampling").
+//
+// There is one executor: Engine::Execute runs every such query as a
+// one-query batch of the shared scan (db/shared_scan.h). This header holds
+// the query shape and the helpers that scan uses to resolve and
+// materialize it.
 
 #ifndef SEEDB_DB_GROUP_BY_H_
 #define SEEDB_DB_GROUP_BY_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "db/aggregates.h"
@@ -38,25 +43,6 @@ struct GroupByQuery {
   std::string ToSql() const;
 };
 
-/// Per-query execution metrics, aggregated into Engine::ExecutionStats.
-struct GroupByStats {
-  /// Rows the scan touched (reduced by sampling).
-  size_t rows_scanned = 0;
-  /// Rows passing WHERE among scanned rows.
-  size_t rows_matched = 0;
-  size_t num_groups = 0;
-  /// groups x aggregates x sizeof(AggState): the optimizer's working-memory
-  /// unit.
-  size_t agg_state_bytes = 0;
-};
-
-/// Executes `query` against `table` (already resolved from the catalog).
-/// Output columns: group columns (original types), then one DOUBLE column per
-/// aggregate named spec.EffectiveName(). Rows are sorted by group key so
-/// results are deterministic.
-Result<Table> ExecuteGroupBy(const Table& table, const GroupByQuery& query,
-                             GroupByStats* stats);
-
 namespace internal {
 
 /// Packs one cell into an int64 key part for hashing/equality: strings pack
@@ -79,53 +65,26 @@ struct PackedKeyHash {
   }
 };
 
-/// \brief Assigns a dense group id to every row selected by a mask.
-///
-/// Rows with mask 0 get id -1. Groups are created lazily in first-seen order;
-/// GroupKey() recovers the boxed key values for output materialization.
-/// Two layouts: a dense array keyed by dictionary code for the common
-/// single-string-dimension case, and a hash map over packed key tuples for
-/// everything else.
-class GroupKeyBuilder {
- public:
-  static Result<GroupKeyBuilder> Create(const Table& table,
-                                        const std::vector<std::string>& columns,
-                                        const std::vector<uint8_t>& mask);
-
-  int32_t num_groups() const { return num_groups_; }
-  const std::vector<int32_t>& row_group_ids() const { return row_group_ids_; }
-  /// Boxed key for group `gid`, one Value per grouping column.
-  std::vector<Value> GroupKey(int32_t gid) const;
-
- private:
-  GroupKeyBuilder() = default;
-
-  const Table* table_ = nullptr;
-  std::vector<size_t> col_indices_;
-  int32_t num_groups_ = 0;
-  std::vector<int32_t> row_group_ids_;
-  /// For each group, the row index of one representative member.
-  std::vector<uint32_t> representative_row_;
-};
-
 /// Builds a Bernoulli scan mask: each row kept with probability `fraction`.
 std::vector<uint8_t> BernoulliScanMask(size_t num_rows, double fraction,
                                        uint64_t seed);
 
-/// Materializes the grouped-aggregation output shape every executor shares
-/// (ExecuteGroupBy, ExecuteGroupingSets, ExecuteSharedScan): group columns
-/// with their original defs, then one DOUBLE column per aggregate, one row
-/// per group sorted lexicographically by boxed key. `keys[g]` is group g's
-/// boxed key (one Value per grouping column); `states[j][g]` its accumulator
-/// for aggregate j. Keeping this in one place is what keeps the fused and
-/// per-query paths byte-identical.
+/// Materializes the grouped-aggregation output shape of every engine query:
+/// group columns with their original defs, then one DOUBLE column per
+/// aggregate, one row per group sorted lexicographically by boxed key.
+/// `keys[g]` is group g's boxed key (one Value per grouping column);
+/// `states[a][g]` is accumulator a's state for group g, and aggregate j is
+/// finalized from accumulator `agg_acc[j]` — the shared scan keeps one
+/// accumulator per distinct (input, FILTER) pair, which several aggregates
+/// may read.
 Result<Table> MaterializeGroupedResult(
     const Table& table, const std::vector<std::string>& group_cols,
     const std::vector<AggregateSpec>& aggregates,
     std::vector<std::vector<Value>> keys,
-    const std::vector<std::vector<AggState>>& states);
+    const std::vector<std::vector<AggState>>& states,
+    const std::vector<uint32_t>& agg_acc);
 
-/// Validates the pieces shared by GroupBy and GroupingSets queries.
+/// Validates a query's aggregate list against `table`.
 Status ValidateAggregates(const Table& table,
                           const std::vector<AggregateSpec>& aggregates);
 

@@ -1,10 +1,12 @@
 // GROUPING SETS: several group-bys over one shared table scan.
 //
-// This is the engine primitive behind §3.3 "Combine Multiple Group-bys":
-// instead of executing queries for views (a1,m,f) ... (an,m,f) independently
+// This is the query shape behind §3.3 "Combine Multiple Group-bys": instead
+// of executing queries for views (a1,m,f) ... (an,m,f) independently
 // (n scans), SeeDB issues one query with n grouping sets (1 scan, n hash
 // tables held simultaneously — the working-memory trade-off the optimizer's
-// bin-packing manages).
+// bin-packing manages). Engine::Execute and Engine::ExecuteShared run it
+// through the shared scan (db/shared_scan.h); result i has grouping set i's
+// columns followed by one DOUBLE per aggregate.
 
 #ifndef SEEDB_DB_GROUPING_SETS_H_
 #define SEEDB_DB_GROUPING_SETS_H_
@@ -31,22 +33,6 @@ struct GroupingSetsQuery {
   /// SQL rendering using the GROUPING SETS syntax.
   std::string ToSql() const;
 };
-
-struct GroupingSetsStats {
-  size_t rows_scanned = 0;
-  size_t rows_matched = 0;
-  /// Sum of group counts across sets (live hash-table entries).
-  size_t total_groups = 0;
-  /// Peak aggregate-state working memory across all sets together.
-  size_t agg_state_bytes = 0;
-};
-
-/// Executes all grouping sets in a single pass over `table`. Result i
-/// corresponds to grouping_sets[i] and has the same shape ExecuteGroupBy
-/// would produce for that set.
-Result<std::vector<Table>> ExecuteGroupingSets(const Table& table,
-                                               const GroupingSetsQuery& query,
-                                               GroupingSetsStats* stats);
 
 }  // namespace seedb::db
 

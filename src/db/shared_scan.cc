@@ -26,7 +26,7 @@ namespace {
 // Three inner-loop modes, decided once at Init:
 //   * vectorized — every grouping column is dictionary-coded and the
 //     composed group space fits the dense-slot budget: group ids come from
-//     the db/vec/ radix kernels and aggregates accumulate into flat slabs;
+//     the db/vec/ radix kernels and accumulators update flat slabs;
 //   * scalar dense — exactly one string column but vectorization is off (or
 //     the dictionary exceeds the budget): per-row code-indexed array;
 //   * hash — anything else: packed key tuples row at a time.
@@ -49,10 +49,18 @@ struct SetSpec {
   std::vector<vec::DenseDim> dims;
 };
 
-// One aggregate of one query, resolved for the scan.
-struct AggRuntime {
+// One accumulator of one query: a distinct (input column, FILTER mask)
+// pair. AggState carries count, sum, min and max together, so every output
+// aggregate over the same measure and filter — COUNT(x), SUM(x), AVG(x),
+// MIN(x), MAX(x) — reads this one accumulator when results materialize, and
+// each row updates it once. The count is the same and the sum is the same
+// left fold in row order, so sharing is bit-identical by construction.
+// COUNT(*) (input nullptr) keeps its own accumulator: it counts rows whose
+// input would be null.
+struct AccRuntime {
   const Column* input = nullptr;  // nullptr => COUNT(*)
   const std::vector<uint8_t>* filter = nullptr;
+  /// COUNT(*) and COUNT over a string column: nothing to sum.
   bool count_only = false;
 };
 
@@ -64,7 +72,9 @@ struct QuerySpec {
   /// for this query, the unit rows_scanned accounting uses.
   const std::vector<uint8_t>* sample_mask = nullptr;
   std::vector<SetSpec> sets;
-  std::vector<AggRuntime> aggs;
+  std::vector<AccRuntime> accs;
+  /// Output aggregate j reads accs[agg_acc[j]].
+  std::vector<uint32_t> agg_acc;
   /// Index into the scan's selection-recipe list; -1 = no row filter, the
   /// vectorized kernels walk the whole morsel directly.
   int recipe = -1;
@@ -158,7 +168,7 @@ struct LocalGroups {
   std::vector<uint32_t> rep_row;
   std::vector<size_t> dense_slot;
   std::vector<std::vector<int64_t>> keys;
-  /// states[agg][local group].
+  /// states[accumulator][local group].
   std::vector<std::vector<AggState>> states;
 
   int32_t NewGroup(uint32_t row) {
@@ -215,7 +225,7 @@ void PrepareWorkerState(const std::vector<QuerySpec>& specs,
       if (set.vectorized) {
         if (fresh) {
           accum.dense.Init(static_cast<uint32_t>(set.dense_slots),
-                           static_cast<uint32_t>(specs[q].aggs.size()));
+                           static_cast<uint32_t>(specs[q].accs.size()));
         } else {
           accum.dense.Reset();
         }
@@ -225,7 +235,7 @@ void PrepareWorkerState(const std::vector<QuerySpec>& specs,
         if (set.dense_col) {
           accum.lg.dense_to_local.assign(set.dense_slots, -1);
         }
-        accum.lg.states.resize(specs[q].aggs.size());
+        accum.lg.states.resize(specs[q].accs.size());
       } else {
         accum.lg.Reset();
       }
@@ -235,14 +245,14 @@ void PrepareWorkerState(const std::vector<QuerySpec>& specs,
 
 void AccumulateRow(const QuerySpec& spec, LocalGroups* lg, int32_t gid,
                    size_t row) {
-  for (size_t j = 0; j < spec.aggs.size(); ++j) {
-    const AggRuntime& a = spec.aggs[j];
-    if (a.filter && !(*a.filter)[row]) continue;
-    if (a.input && a.input->IsNull(row)) continue;
-    if (a.count_only) {
-      lg->states[j][gid].AddCountOnly();
+  for (size_t a = 0; a < spec.accs.size(); ++a) {
+    const AccRuntime& acc = spec.accs[a];
+    if (acc.filter && !(*acc.filter)[row]) continue;
+    if (acc.input && acc.input->IsNull(row)) continue;
+    if (acc.count_only) {
+      lg->states[a][gid].AddCountOnly();
     } else {
-      lg->states[j][gid].Add(a.input->NumericAt(row));
+      lg->states[a][gid].Add(acc.input->NumericAt(row));
     }
   }
 }
@@ -378,7 +388,7 @@ struct VecScratch {
 
 // The vectorized inner loop for one (query, set) over one morsel: group ids
 // once (radix kernel), group creation once (touch kernel), then one typed
-// flat-slab kernel per aggregate. `sel == nullptr` means the query selects
+// flat-slab kernel per accumulator. `sel == nullptr` means the query selects
 // the whole morsel and the kernels walk [lo, hi) directly.
 void ScanMorselVec(const QuerySpec& spec, const SetSpec& set, SetAccum* accum,
                    size_t lo, size_t hi, const vec::SelectionVector* sel,
@@ -396,8 +406,8 @@ void ScanMorselVec(const QuerySpec& spec, const SetSpec& set, SetAccum* accum,
     vec::GroupIdsRange(set.dims.data(), set.dims.size(), lo, hi, gids);
     vec::TouchGroupsRange(gids, lo, n, t);
   }
-  for (size_t j = 0; j < spec.aggs.size(); ++j) {
-    const AggRuntime& a = spec.aggs[j];
+  for (size_t j = 0; j < spec.accs.size(); ++j) {
+    const AccRuntime& a = spec.accs[j];
     const uint8_t* filter = a.filter != nullptr ? a.filter->data() : nullptr;
     const uint8_t* validity =
         (a.input != nullptr && !a.input->validity().empty())
@@ -406,7 +416,7 @@ void ScanMorselVec(const QuerySpec& spec, const SetSpec& set, SetAccum* accum,
     AggState* slab = t->slab(static_cast<uint32_t>(j));
     if (a.count_only) {
       // COUNT(*) has no input (validity nullptr counts every selected row);
-      // COUNT(col) skips null inputs via the column's validity bytes.
+      // COUNT over a string column skips null inputs via its validity bytes.
       if (sel != nullptr) {
         vec::AccumulateCountSel(gids, *sel, filter, validity, slab);
       } else if (use_simd) {
@@ -513,7 +523,7 @@ struct GlobalGroups {
 // Folds one worker's partial state for one (query, set) into the persistent
 // global state. Key parts are table-global (dictionary codes / bit
 // patterns), so partials from different workers and phases merge correctly.
-void MergeWorkerInto(const SetSpec& set, size_t num_aggs,
+void MergeWorkerInto(const SetSpec& set, size_t num_accs,
                      const LocalGroups& lg, GlobalGroups* global) {
   for (size_t l = 0; l < lg.rep_row.size(); ++l) {
     int32_t gid;
@@ -534,8 +544,8 @@ void MergeWorkerInto(const SetSpec& set, size_t num_aggs,
       }
       gid = it->second;
     }
-    for (size_t j = 0; j < num_aggs; ++j) {
-      global->states[j][gid].Merge(lg.states[j][l]);
+    for (size_t a = 0; a < num_accs; ++a) {
+      global->states[a][gid].Merge(lg.states[a][l]);
     }
   }
 }
@@ -545,7 +555,7 @@ void MergeWorkerInto(const SetSpec& set, size_t num_aggs,
 // the scalar path's lazy creation, so global group ids (and therefore the
 // float merge order) are identical whichever inner loop ran. That is what
 // makes dense and hash paths bit-identical, not merely close.
-void MergeDenseInto(size_t num_aggs, const vec::DenseAggTable& t,
+void MergeDenseInto(size_t num_accs, const vec::DenseAggTable& t,
                     GlobalGroups* global) {
   for (size_t i = 0; i < t.touched.size(); ++i) {
     const uint32_t slot = t.touched[i];
@@ -555,31 +565,30 @@ void MergeDenseInto(size_t num_aggs, const vec::DenseAggTable& t,
       global->rep_row.push_back(t.rep_row[i]);
       for (auto& per_agg : global->states) per_agg.emplace_back();
     }
-    for (size_t j = 0; j < num_aggs; ++j) {
-      global->states[j][slot_gid].Merge(
-          t.slab(static_cast<uint32_t>(j))[slot]);
+    for (size_t a = 0; a < num_accs; ++a) {
+      global->states[a][slot_gid].Merge(
+          t.slab(static_cast<uint32_t>(a))[slot]);
     }
   }
 }
 
-// Materializes one (query, set) result through the shared grouped-output
-// shape (internal::MaterializeGroupedResult), so the fused path stays
-// byte-identical to ExecuteGroupingSets by construction. Works on partial
-// (mid-scan) state just as well as on final state — the caller decides when
-// the numbers mean something.
+// Materializes one (query, set) result through the grouped-output shape
+// (internal::MaterializeGroupedResult), each output aggregate finalized from
+// its accumulator. Works on partial (mid-scan) state just as well as on
+// final state — the caller decides when the numbers mean something.
 Result<Table> MaterializeSet(const Table& table, const GroupingSetsQuery& query,
-                             size_t set_index, const SetSpec& set,
+                             size_t set_index, const QuerySpec& spec,
                              const GlobalGroups& global) {
+  const SetSpec& set = spec.sets[set_index];
   // A global aggregate (empty grouping set) always has its one group, even
-  // when no row passes the mask — matching GroupKeyBuilder, which creates
-  // group 0 unconditionally.
+  // when no row passes the mask, as SQL's ungrouped aggregate does.
   if (set.cols.empty() && global.rep_row.empty()) {
     std::vector<std::vector<Value>> keys(1);
-    std::vector<std::vector<AggState>> states(query.aggregates.size());
-    for (auto& per_agg : states) per_agg.emplace_back();
+    std::vector<std::vector<AggState>> states(spec.accs.size());
+    for (auto& per_acc : states) per_acc.emplace_back();
     return internal::MaterializeGroupedResult(
         table, query.grouping_sets[set_index], query.aggregates,
-        std::move(keys), states);
+        std::move(keys), states, spec.agg_acc);
   }
   int32_t num_groups = static_cast<int32_t>(global.rep_row.size());
   std::vector<std::vector<Value>> keys(num_groups);
@@ -591,7 +600,7 @@ Result<Table> MaterializeSet(const Table& table, const GroupingSetsQuery& query,
   }
   return internal::MaterializeGroupedResult(
       table, query.grouping_sets[set_index], query.aggregates, std::move(keys),
-      global.states);
+      global.states, spec.agg_acc);
 }
 
 // Shared mask evaluation: every distinct predicate / sample configuration
@@ -790,15 +799,23 @@ class SharedScanState::Impl {
       }
 
       for (const auto& agg : query.aggregates) {
-        AggRuntime rt;
+        AccRuntime rt;
         if (!agg.input.empty()) {
           SEEDB_ASSIGN_OR_RETURN(rt.input, table_.ColumnByName(agg.input));
         }
-        rt.count_only =
-            rt.input == nullptr || agg.func == AggregateFunction::kCount;
         SEEDB_ASSIGN_OR_RETURN(rt.filter,
                                masks_.PredicateMask(agg.filter.get()));
-        spec.aggs.push_back(rt);
+        size_t a = 0;
+        while (a < spec.accs.size() && (spec.accs[a].input != rt.input ||
+                                        spec.accs[a].filter != rt.filter)) {
+          ++a;
+        }
+        if (a == spec.accs.size()) {
+          rt.count_only = rt.input == nullptr ||
+                          rt.input->type() == ValueType::kString;
+          spec.accs.push_back(rt);
+        }
+        spec.agg_acc.push_back(static_cast<uint32_t>(a));
       }
     }
 
@@ -809,7 +826,7 @@ class SharedScanState::Impl {
       globals_[q].resize(specs_[q].sets.size());
       for (size_t s = 0; s < specs_[q].sets.size(); ++s) {
         GlobalGroups& global = globals_[q][s];
-        global.states.resize(specs_[q].aggs.size());
+        global.states.resize(specs_[q].accs.size());
         if (specs_[q].sets[s].dense_slots > 0) {
           global.dense_to_global.assign(specs_[q].sets[s].dense_slots, -1);
         }
@@ -832,14 +849,19 @@ class SharedScanState::Impl {
           std::shared_ptr<const CachedPartialAgg> entry =
               cache_->Lookup(cache_keys_[q][s]);
           if (entry == nullptr ||
-              entry->states.size() != specs_[q].aggs.size()) {
+              entry->states.size() != specs_[q].agg_acc.size()) {
             ++cache_misses_;
             all_adopted = false;
             continue;
           }
           ++cache_hits_;
+          // Entries hold one state per output aggregate (see
+          // PublishToCache); aggregates sharing an accumulator here carry
+          // identical states there, so any of them seeds it.
           globals_[q][s].rep_row = entry->rep_row;
-          globals_[q][s].states = entry->states;
+          for (size_t j = 0; j < specs_[q].agg_acc.size(); ++j) {
+            globals_[q][s].states[specs_[q].agg_acc[j]] = entry->states[j];
+          }
           specs_[q].sets[s].adopted = true;
         }
         if (all_adopted) scan_active_[q] = 0;
@@ -1186,10 +1208,10 @@ class SharedScanState::Impl {
         for (size_t t = 0; t < threads; ++t) {
           const WorkerState& worker = worker_states_[t];
           if (specs_[q].sets[s].vectorized) {
-            MergeDenseInto(specs_[q].aggs.size(), worker[q][s].dense,
+            MergeDenseInto(specs_[q].accs.size(), worker[q][s].dense,
                            &globals_[q][s]);
           } else {
-            MergeWorkerInto(specs_[q].sets[s], specs_[q].aggs.size(),
+            MergeWorkerInto(specs_[q].sets[s], specs_[q].accs.size(),
                             worker[q][s].lg, &globals_[q][s]);
           }
         }
@@ -1209,8 +1231,8 @@ class SharedScanState::Impl {
     results.reserve(specs_[q].sets.size());
     for (size_t s = 0; s < specs_[q].sets.size(); ++s) {
       SEEDB_ASSIGN_OR_RETURN(
-          Table out, MaterializeSet(table_, queries_[q], s, specs_[q].sets[s],
-                                    globals_[q][s]));
+          Table out,
+          MaterializeSet(table_, queries_[q], s, specs_[q], globals_[q][s]));
       results.push_back(std::move(out));
     }
     return results;
@@ -1232,6 +1254,9 @@ class SharedScanState::Impl {
   // uncancelled and only for queries that stayed active throughout (a
   // retired query's state stops at its retirement phase and must never be
   // adopted as final). Adopted pairs are skipped: they are already cached.
+  // Entries store one state per output aggregate, the layout the cache key
+  // (one input + FILTER fingerprint per aggregate) describes, so a batch
+  // that groups its accumulators differently still adopts them exactly.
   void PublishToCache() {
     if (cache_ == nullptr || cancelled_ ||
         rows_consumed_ != table_.num_rows()) {
@@ -1243,7 +1268,9 @@ class SharedScanState::Impl {
         if (specs_[q].sets[s].adopted) continue;
         CachedPartialAgg entry;
         entry.rep_row = globals_[q][s].rep_row;
-        entry.states = globals_[q][s].states;
+        for (uint32_t a : specs_[q].agg_acc) {
+          entry.states.push_back(globals_[q][s].states[a]);
+        }
         cache_->Insert(cache_keys_[q][s], std::move(entry));
       }
     }
@@ -1258,7 +1285,8 @@ class SharedScanState::Impl {
     for (const WorkerState& worker : worker_states_) {
       for (const auto& sets : worker) {
         for (const SetAccum& accum : sets) {
-          s.agg_slab_allocations += accum.dense.allocations;
+          s.agg_slab_allocations +=
+              accum.dense.allocations * accum.dense.num_aggs;
         }
       }
     }
@@ -1272,7 +1300,7 @@ class SharedScanState::Impl {
       for (size_t g = 0; g < globals_[q].size(); ++g) {
         s.total_groups += globals_[q][g].rep_row.size();
         s.agg_state_bytes +=
-            globals_[q][g].rep_row.size() * specs_[q].aggs.size() *
+            globals_[q][g].rep_row.size() * specs_[q].accs.size() *
             sizeof(AggState);
       }
     }

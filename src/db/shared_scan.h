@@ -1,5 +1,6 @@
-// Shared-scan fused execution: the entire batch of view queries answered in
-// morsel-driven passes over the base table.
+// Shared-scan execution: the engine's one group-by executor. Every query
+// — a single Engine::Execute call, a fused plan, a phased session — is a
+// batch answered in morsel-driven passes over the base table.
 //
 // SeeDB's §3.3 optimizations (combine target/comparison, combine aggregates,
 // combine group-bys) each reduce the *number* of scans; the logical endpoint
@@ -12,12 +13,16 @@
 // composed straight to flat aggregation slabs), everything else hashes
 // packed key tuples row at a time. The partials are merged after each pass.
 // WHERE / FILTER / sample masks are evaluated once per distinct predicate
-// across the whole batch, not once per query. Both inner loops produce
-// bit-identical aggregates (pinned by tests/db/vec_equivalence_test.cc).
+// across the whole batch, not once per query. Within a query, aggregates
+// over the same (input column, FILTER) pair share one accumulator, so
+// COUNT/SUM/AVG/MIN/MAX of one measure cost one update per row. All inner
+// loops produce bit-identical aggregates (pinned by
+// tests/db/vec_equivalence_test.cc against a row-at-a-time reference
+// executor under tests/).
 //
 // Two entry points:
 //
-//   * ExecuteSharedScan — the whole batch in ONE pass (the PR 1 interface).
+//   * ExecuteSharedScan — the whole batch in ONE pass.
 //   * SharedScanState   — the same machinery made *resumable*: RunPhase()
 //     scans one row-range slice and folds it into persistent merged state,
 //     so a plan executes as N sequential phases. Between phases the caller
@@ -26,9 +31,9 @@
 //     for the paper's §3.3 confidence-interval / multi-armed-bandit pruning
 //     (core/online_pruning.h).
 //
-// Result shape and values are identical to running every query through
-// ExecuteGroupingSets independently (per-group sums may differ by float
-// reassociation across morsel boundaries, i.e. ~1 ulp).
+// A one-threaded, one-phase batch adds every group's rows in row order, so
+// its results are exactly a row-at-a-time evaluation's. More threads or
+// phases reassociate per-group sums across morsel boundaries (~1 ulp).
 
 #ifndef SEEDB_DB_SHARED_SCAN_H_
 #define SEEDB_DB_SHARED_SCAN_H_
@@ -116,8 +121,9 @@ struct SharedScanStats {
   size_t rows_scanned = 0;
   /// Groups materialized across all queries and grouping sets.
   size_t total_groups = 0;
-  /// Merged aggregation-state footprint across the whole batch — all hash
-  /// tables are live at once, the working-memory trade-off §3.3 describes.
+  /// Merged aggregation-state footprint across the whole batch (groups x
+  /// accumulators x sizeof(AggState)) — all hash tables are live at once,
+  /// the working-memory trade-off §3.3 describes.
   size_t agg_state_bytes = 0;
   size_t morsels = 0;
   /// Morsels whose inner loop ran the vectorized kernels (dense group-id +
@@ -128,10 +134,11 @@ struct SharedScanStats {
   /// kernel tier (db/vec/simd/). Always <= vectorized_morsels; 0 when
   /// enable_simd is off, the build is scalar, or the CPU lacks the ISA.
   size_t simd_morsels = 0;
-  /// DenseAggTable slab allocations across all workers since Create().
-  /// Multi-phase runs reuse per-worker slabs (capacity-preserving Reset), so
-  /// this stays at one per (worker, query, vectorized set) no matter how
-  /// many phases run.
+  /// DenseAggTable slab allocations across all workers since Create(): one
+  /// per (worker, query, vectorized set, accumulator) — accumulators, not
+  /// output aggregates, since aggregates over one (input, FILTER) pair share
+  /// one. Multi-phase runs reuse per-worker slabs (capacity-preserving
+  /// Reset), so the count does not grow with the number of phases.
   size_t agg_slab_allocations = 0;
   size_t threads_used = 0;
   /// RunPhase() calls executed (1 for the one-shot ExecuteSharedScan).
@@ -230,9 +237,8 @@ class SharedScanState {
 };
 
 /// Answers all of `queries` in one morsel-driven pass over `table`.
-/// Output `[q]` is exactly what ExecuteGroupingSets(table, queries[q])
-/// returns: one result table per grouping set of query q, rows sorted by
-/// group key. Queries may differ in WHERE, FILTER, grouping sets and
+/// Output `[q]` holds one result table per grouping set of query q, rows
+/// sorted by group key. Queries may differ in WHERE, FILTER, grouping sets and
 /// sampling; they must all target `table`.
 Result<std::vector<std::vector<Table>>> ExecuteSharedScan(
     const Table& table, const std::vector<GroupingSetsQuery>& queries,

@@ -2,23 +2,40 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
+#include <tuple>
 #include <unordered_map>
+#include <utility>
 
 #include "util/histogram.h"
 
 namespace seedb::db {
 namespace {
 
-// Frequency table over a column's non-null values, keyed by a compact code.
-// Strings use dictionary codes; numerics use a value map.
-std::vector<size_t> ValueFrequencies(const Column& col) {
-  std::vector<size_t> freqs;
+// The one frequency table over a column's non-null values, as (value,
+// count) pairs in the counting structure's own order: dictionary-code order
+// for strings (codes that only null slots reference are dropped), hash
+// order for numerics. Every distribution statistic derives from it.
+std::vector<std::pair<Value, size_t>> ValueFrequencies(const Column& col) {
+  std::vector<std::pair<Value, size_t>> freqs;
+  const auto collect = [&freqs](const auto& counts) {
+    freqs.reserve(counts.size());
+    for (const auto& [v, c] : counts) {
+      freqs.emplace_back(std::piecewise_construct, std::forward_as_tuple(v),
+                         std::forward_as_tuple(c));
+    }
+  };
   switch (col.type()) {
     case ValueType::kString: {
-      freqs.assign(col.dict_size(), 0);
+      std::vector<size_t> counts(col.dict_size(), 0);
       for (size_t i = 0; i < col.size(); ++i) {
-        if (!col.IsNull(i)) ++freqs[col.codes()[i]];
+        if (!col.IsNull(i)) ++counts[col.codes()[i]];
+      }
+      for (size_t code = 0; code < counts.size(); ++code) {
+        if (counts[code] == 0) continue;
+        freqs.emplace_back(
+            std::piecewise_construct,
+            std::forward_as_tuple(col.dict_value(static_cast<int32_t>(code))),
+            std::forward_as_tuple(counts[code]));
       }
       break;
     }
@@ -27,8 +44,7 @@ std::vector<size_t> ValueFrequencies(const Column& col) {
       for (size_t i = 0; i < col.size(); ++i) {
         if (!col.IsNull(i)) ++m[col.int64_data()[i]];
       }
-      freqs.reserve(m.size());
-      for (const auto& [_, c] : m) freqs.push_back(c);
+      collect(m);
       break;
     }
     case ValueType::kDouble: {
@@ -36,15 +52,12 @@ std::vector<size_t> ValueFrequencies(const Column& col) {
       for (size_t i = 0; i < col.size(); ++i) {
         if (!col.IsNull(i)) ++m[col.double_data()[i]];
       }
-      freqs.reserve(m.size());
-      for (const auto& [_, c] : m) freqs.push_back(c);
+      collect(m);
       break;
     }
     case ValueType::kNull:
       break;
   }
-  // Drop zero-count entries (dictionary codes referenced only by null slots).
-  freqs.erase(std::remove(freqs.begin(), freqs.end(), size_t{0}), freqs.end());
   return freqs;
 }
 
@@ -59,7 +72,6 @@ ColumnStats ComputeColumnStats(const Table& table, size_t col_index) {
   stats.role = def.role;
   stats.row_count = col.size();
   stats.null_count = col.null_count();
-  stats.distinct_count = col.CountDistinct();
 
   if (col.type() == ValueType::kInt64 || col.type() == ValueType::kDouble) {
     RunningStats rs;
@@ -72,14 +84,16 @@ ColumnStats ComputeColumnStats(const Table& table, size_t col_index) {
     stats.variance = rs.variance();
   }
 
-  // Diversity and entropy over the value distribution.
-  std::vector<size_t> freqs = ValueFrequencies(col);
+  // Distinct count, diversity, entropy and top values all come from one
+  // counting pass over the column.
+  std::vector<std::pair<Value, size_t>> freqs = ValueFrequencies(col);
+  stats.distinct_count = freqs.size();
   size_t total = 0;
-  for (size_t f : freqs) total += f;
+  for (const auto& [_, f] : freqs) total += f;
   if (total > 0) {
     double sum_p2 = 0.0;
     double entropy = 0.0;
-    for (size_t f : freqs) {
+    for (const auto& [_, f] : freqs) {
       double p = static_cast<double>(f) / static_cast<double>(total);
       sum_p2 += p * p;
       entropy -= p * std::log(p);
@@ -90,21 +104,15 @@ ColumnStats ComputeColumnStats(const Table& table, size_t col_index) {
                          : 0.0;
   }
 
-  // Top values: exact counts via value map (column cardinalities in SeeDB's
-  // dimension model are small enough for this to be cheap).
-  std::map<Value, size_t> counts;
-  for (size_t i = 0; i < col.size(); ++i) {
-    if (!col.IsNull(i)) ++counts[col.GetValue(i)];
-  }
-  std::vector<std::pair<Value, size_t>> sorted(counts.begin(), counts.end());
-  std::sort(sorted.begin(), sorted.end(), [](const auto& a, const auto& b) {
-    if (a.second != b.second) return a.second > b.second;
-    return a.first < b.first;
-  });
-  if (sorted.size() > ColumnStats::kTopValues) {
-    sorted.resize(ColumnStats::kTopValues);
-  }
-  stats.top_values = std::move(sorted);
+  // Top values: count descending, ties by value.
+  const size_t top = std::min(freqs.size(), ColumnStats::kTopValues);
+  std::partial_sort(freqs.begin(), freqs.begin() + top, freqs.end(),
+                    [](const auto& a, const auto& b) {
+                      if (a.second != b.second) return a.second > b.second;
+                      return a.first < b.first;
+                    });
+  freqs.resize(top);
+  stats.top_values = std::move(freqs);
   return stats;
 }
 

@@ -26,8 +26,9 @@
 namespace seedb::db::vec {
 
 /// \brief One worker's flat aggregation state for one (query, grouping set):
-/// `slots * num_aggs` AggStates plus the touched-slot record that makes the
-/// sparse merge and group materialization possible.
+/// one slab of `slots` AggStates per accumulator (`num_aggs` of them) plus
+/// the touched-slot record that makes the sparse merge and group
+/// materialization possible.
 struct DenseAggTable {
   uint32_t slots = 0;
   uint32_t num_aggs = 0;
@@ -42,10 +43,10 @@ struct DenseAggTable {
   std::vector<uint32_t> touched;
   /// rep_row[i] = first selected row of touched[i] (key materialization).
   std::vector<uint32_t> rep_row;
-  /// Slab allocations performed by Init since construction; Reset never
-  /// adds to it. Surfaced as SharedScanStats::agg_slab_allocations so tests
-  /// can pin that multi-phase runs reuse worker slabs instead of
-  /// reallocating per phase.
+  /// Init calls since construction, each allocating `num_aggs` slabs;
+  /// Reset never adds to it. Surfaced (times num_aggs) as SharedScanStats::
+  /// agg_slab_allocations so tests can pin that multi-phase runs reuse
+  /// worker slabs instead of reallocating per phase.
   size_t allocations = 0;
 
   void Init(uint32_t num_slots, uint32_t aggs) {

@@ -270,6 +270,72 @@ TEST_F(SessionTest, ConcurrentSessionsOnOneEngineAreSafe) {
   }
 }
 
+// Per-query runs account exactly too: every planned query is its own
+// one-query batch, and the profile sums those batches' statistics instead
+// of diffing engine-wide counters that overlapping sessions also move.
+TEST_F(SessionTest, ConcurrentPerQuerySessionsCountOnlyTheirOwnWork) {
+  SeeDB seedb(engine_);
+  // The baseline plan issues one query per view half, so every session runs
+  // many single-query passes that interleave with the other sessions'.
+  const SeeDBRequest request =
+      SeeDBRequest("synth")
+          .Where(selection_)
+          .WithTopK(3)
+          .WithStrategy(ExecutionStrategy::kPerQuery)
+          .WithOptimizer(OptimizerOptions::Baseline());
+  auto serial = seedb.Run(request);
+  ASSERT_TRUE(serial.ok()) << serial.status();
+  const ExecutionProfile& want = serial->profile;
+  ASSERT_GT(want.queries_issued, 1u);
+  EXPECT_EQ(want.table_scans, want.queries_issued);  // one pass per query
+  EXPECT_EQ(want.rows_scanned, 8000u * want.queries_issued);
+  EXPECT_GT(want.vectorized_morsels, 0u);
+  EXPECT_EQ(want.cache_hits + want.cache_misses, 0u);
+
+  constexpr int kSessions = 4;
+  constexpr int kRunsPerSession = 3;
+  std::vector<std::vector<ExecutionProfile>> profiles(kSessions);
+  std::vector<Status> statuses(kSessions, Status::OK());
+  std::atomic<int> ready{0};
+  const db::EngineStatsSnapshot before = engine_->stats();
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kSessions; ++i) {
+    threads.emplace_back([&, i] {
+      // Start together so the sessions' queries interleave on the engine.
+      ready.fetch_add(1);
+      while (ready.load() < kSessions) std::this_thread::yield();
+      for (int run = 0; run < kRunsPerSession; ++run) {
+        auto set = seedb.Run(request);
+        if (!set.ok()) {
+          statuses[i] = set.status();
+          return;
+        }
+        profiles[i].push_back(set->profile);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  const db::EngineStatsSnapshot after = engine_->stats();
+
+  uint64_t total_queries = 0;
+  for (int i = 0; i < kSessions; ++i) {
+    ASSERT_TRUE(statuses[i].ok()) << statuses[i];
+    ASSERT_EQ(profiles[i].size(), static_cast<size_t>(kRunsPerSession));
+    for (const ExecutionProfile& got : profiles[i]) {
+      EXPECT_EQ(got.queries_issued, want.queries_issued) << "session " << i;
+      EXPECT_EQ(got.table_scans, want.table_scans) << "session " << i;
+      EXPECT_EQ(got.rows_scanned, want.rows_scanned) << "session " << i;
+      EXPECT_EQ(got.vectorized_morsels, want.vectorized_morsels)
+          << "session " << i;
+      EXPECT_EQ(got.simd_morsels, want.simd_morsels) << "session " << i;
+      total_queries += got.queries_issued;
+    }
+  }
+  // The engine-wide counters moved by exactly the sessions' summed work.
+  EXPECT_EQ(after.queries_executed - before.queries_executed, total_queries);
+  EXPECT_EQ(after.table_scans - before.table_scans, total_queries);
+}
+
 TEST_F(SessionTest, SharedScanStrategyIsCancellableToo) {
   SeeDB seedb(engine_);
   auto session = seedb.Open(SeeDBRequest("synth")
@@ -566,9 +632,11 @@ TEST_F(SessionTest, FusedProfileReportsVectorizedMorsels) {
   // must take the vectorized inner loop for every morsel.
   EXPECT_GT(set->profile.vectorized_morsels, 0u);
 
+  // Per-query runs go through the same scan, one batch per query, and their
+  // profile sums those batches' morsels.
   auto per_query = seedb.Run(SeeDBRequest("synth").Where(selection_));
   ASSERT_TRUE(per_query.ok());
-  EXPECT_EQ(per_query->profile.vectorized_morsels, 0u);
+  EXPECT_GT(per_query->profile.vectorized_morsels, 0u);
 }
 
 TEST_F(SessionTest, ProgressUpdatesCarryTheMemoryFootprint) {

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "db/group_by.h"
+#include "../test_util.h"
 #include "db/statistics.h"
 
 namespace seedb::data {
@@ -85,7 +85,7 @@ TEST(SyntheticTest, PlantedDeviationSkewsConditionalMean) {
   q.group_by = {"dim1"};
   q.aggregates = {
       db::AggregateSpec::Make(db::AggregateFunction::kAvg, "m0")};
-  auto result = db::ExecuteGroupBy(dataset.table, q, nullptr).ValueOrDie();
+  auto result = ::seedb::testing::ExecuteOn(dataset.table, q).ValueOrDie();
   ASSERT_EQ(result.num_rows(), 4u);
   double even_avg = 0, odd_avg = 0;
   for (size_t r = 0; r < result.num_rows(); ++r) {

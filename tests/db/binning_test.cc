@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "db/group_by.h"
+#include "../test_util.h"
 
 namespace seedb::db {
 namespace {
@@ -39,7 +39,7 @@ TEST(BinningTest, BucketsHoldEqualCounts) {
   q.table = "t";
   q.group_by = {"m_bin"};
   q.aggregates = {AggregateSpec::Count("n")};
-  auto result = ExecuteGroupBy(binned, q, nullptr).ValueOrDie();
+  auto result = ::seedb::testing::ExecuteOn(binned, q).ValueOrDie();
   ASSERT_EQ(result.num_rows(), 10u);
   for (size_t r = 0; r < result.num_rows(); ++r) {
     EXPECT_EQ(result.ValueAt(r, 1), Value(10.0));

@@ -5,7 +5,8 @@
 //   1. vectorized predicate masks == row-at-a-time evaluation
 //   2. sum of per-group COUNT(*) == number of WHERE-matching rows
 //   3. per-group SUMs add up to the global SUM under the same predicate
-//   4. GROUPING SETS results == independent GROUP BY results, set by set
+//   4. GROUPING SETS results == independent GROUP BY results, set by set,
+//      and == the row-at-a-time reference executor, bit for bit
 //   5. SQL round trip: executing ToSql() output == executing the query
 //   6. FILTER-ed aggregates == WHERE-ed aggregates on common groups
 
@@ -13,8 +14,10 @@
 
 #include <map>
 
+#include "../test_util.h"
 #include "db/engine.h"
 #include "db/sql/parser.h"
+#include "reference_executor.h"
 #include "util/random.h"
 
 namespace seedb::db {
@@ -131,7 +134,7 @@ TEST_P(EnginePropertyTest, GroupCountsSumToMatchedRows) {
   q.where = where;
   q.group_by = {"d0"};
   q.aggregates = {AggregateSpec::Count("n")};
-  auto result = ExecuteGroupBy(table, q, nullptr).ValueOrDie();
+  auto result = ::seedb::testing::ExecuteOn(table, q).ValueOrDie();
   double total = 0.0;
   for (size_t r = 0; r < result.num_rows(); ++r) {
     total += result.ValueAt(r, 1).ToDouble().ValueOrDie();
@@ -149,7 +152,7 @@ TEST_P(EnginePropertyTest, GroupSumsAddUpToGlobalSum) {
   grouped.where = where;
   grouped.group_by = {"d1"};
   grouped.aggregates = {AggregateSpec::Make(AggregateFunction::kSum, "m0")};
-  auto by_group = ExecuteGroupBy(table, grouped, nullptr).ValueOrDie();
+  auto by_group = ::seedb::testing::ExecuteOn(table, grouped).ValueOrDie();
   double group_total = 0.0;
   for (size_t r = 0; r < by_group.num_rows(); ++r) {
     group_total += by_group.ValueAt(r, 1).ToDouble().ValueOrDie();
@@ -157,7 +160,7 @@ TEST_P(EnginePropertyTest, GroupSumsAddUpToGlobalSum) {
 
   GroupByQuery global = grouped;
   global.group_by = {};
-  auto overall = ExecuteGroupBy(table, global, nullptr).ValueOrDie();
+  auto overall = ::seedb::testing::ExecuteOn(table, global).ValueOrDie();
   ASSERT_EQ(overall.num_rows(), 1u);
   EXPECT_NEAR(group_total, overall.ValueAt(0, 0).ToDouble().ValueOrDie(),
               1e-6);
@@ -176,8 +179,9 @@ TEST_P(EnginePropertyTest, GroupingSetsMatchIndependentGroupBys) {
   gs.grouping_sets.push_back({dims[0], dims[1]});  // one multi-column set
   gs.aggregates = {AggregateSpec::Make(AggregateFunction::kSum, "m0", "s"),
                    AggregateSpec::Count("n")};
-  auto results = ExecuteGroupingSets(table, gs, nullptr).ValueOrDie();
+  auto results = ::seedb::testing::ExecuteOn(table, gs).ValueOrDie();
   ASSERT_EQ(results.size(), gs.grouping_sets.size());
+  auto reference = ::seedb::testing::ReferenceExecute(table, gs).ValueOrDie();
 
   for (size_t s = 0; s < gs.grouping_sets.size(); ++s) {
     GroupByQuery single;
@@ -185,7 +189,9 @@ TEST_P(EnginePropertyTest, GroupingSetsMatchIndependentGroupBys) {
     single.where = where;
     single.group_by = gs.grouping_sets[s];
     single.aggregates = gs.aggregates;
-    auto expected = ExecuteGroupBy(table, single, nullptr).ValueOrDie();
+    auto expected = ::seedb::testing::ExecuteOn(table, single).ValueOrDie();
+    EXPECT_EQ(::seedb::testing::BitDifference(results[s], reference[s]), "")
+        << "set " << s;
     ASSERT_EQ(results[s].num_rows(), expected.num_rows()) << "set " << s;
     for (size_t r = 0; r < expected.num_rows(); ++r) {
       for (size_t c = 0; c < expected.num_columns(); ++c) {
@@ -245,14 +251,14 @@ TEST_P(EnginePropertyTest, FilterAggregateMatchesWhereAggregate) {
   filtered.group_by = {"d0"};
   filtered.aggregates = {
       AggregateSpec::Make(AggregateFunction::kSum, "m0", "v", pred)};
-  auto fr = ExecuteGroupBy(table, filtered, nullptr).ValueOrDie();
+  auto fr = ::seedb::testing::ExecuteOn(table, filtered).ValueOrDie();
 
   GroupByQuery whered;
   whered.table = "t";
   whered.where = pred;
   whered.group_by = {"d0"};
   whered.aggregates = {AggregateSpec::Make(AggregateFunction::kSum, "m0", "v")};
-  auto wr = ExecuteGroupBy(table, whered, nullptr).ValueOrDie();
+  auto wr = ::seedb::testing::ExecuteOn(table, whered).ValueOrDie();
 
   // Every group present in the WHERE result matches the FILTER result.
   std::map<std::string, double> filtered_vals;

@@ -1,3 +1,7 @@
+// Grouped aggregation through Engine::Execute: every GroupByQuery runs as a
+// one-query batch of the shared scan. Each test registers its table in a
+// fresh catalog and checks results and the batch's engine counters.
+
 #include "db/group_by.h"
 
 #include <gtest/gtest.h>
@@ -7,9 +11,21 @@
 namespace seedb::db {
 namespace {
 
+using ::seedb::testing::ExecuteOn;
 using ::seedb::testing::FindRowByKey;
 using ::seedb::testing::MakeLaserwaveTable;
 using ::seedb::testing::MakeTinyTable;
+
+// COUNT(*) of the rows `q` selects, summed over its groups.
+double RowsMatched(const Table& t, GroupByQuery q) {
+  q.aggregates = {AggregateSpec::Count()};
+  Table result = ExecuteOn(t, q, nullptr).ValueOrDie();
+  double total = 0.0;
+  for (size_t r = 0; r < result.num_rows(); ++r) {
+    total += result.ValueAt(r, result.num_columns() - 1).AsDouble();
+  }
+  return total;
+}
 
 GroupByQuery BasicQuery() {
   GroupByQuery q;
@@ -21,8 +37,8 @@ GroupByQuery BasicQuery() {
 
 TEST(GroupByTest, SingleDimensionSum) {
   Table t = MakeTinyTable();
-  GroupByStats stats;
-  auto result = ExecuteGroupBy(t, BasicQuery(), &stats);
+  EngineStatsSnapshot stats;
+  auto result = ExecuteOn(t, BasicQuery(), &stats);
   ASSERT_TRUE(result.ok());
   const Table& r = *result;
   ASSERT_EQ(r.num_rows(), 2u);
@@ -31,22 +47,25 @@ TEST(GroupByTest, SingleDimensionSum) {
   EXPECT_EQ(r.ValueAt(0, 1), Value(8.0));  // 1 + 2 + 5
   EXPECT_EQ(r.ValueAt(1, 0), Value("b"));
   EXPECT_EQ(r.ValueAt(1, 1), Value(13.0));  // 3 + 4 + 6
-  EXPECT_EQ(stats.num_groups, 2u);
+  EXPECT_EQ(stats.groups_created, 2u);
   EXPECT_EQ(stats.rows_scanned, 6u);
-  EXPECT_EQ(stats.rows_matched, 6u);
+  EXPECT_EQ(stats.queries_executed, 1u);
+  EXPECT_EQ(stats.table_scans, 1u);
+  EXPECT_EQ(RowsMatched(t, BasicQuery()), 6.0);
 }
 
 TEST(GroupByTest, WhereFiltersRows) {
   Table t = MakeTinyTable();
   GroupByQuery q = BasicQuery();
   q.where = PredicatePtr(Eq("e", Value("x")));
-  GroupByStats stats;
-  auto result = ExecuteGroupBy(t, q, &stats);
+  EngineStatsSnapshot stats;
+  auto result = ExecuteOn(t, q, &stats);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->num_rows(), 2u);
   EXPECT_EQ(result->ValueAt(0, 1), Value(6.0));   // a: 1 + 5
   EXPECT_EQ(result->ValueAt(1, 1), Value(3.0));   // b: 3
-  EXPECT_EQ(stats.rows_matched, 3u);
+  EXPECT_EQ(stats.rows_scanned, 6u);
+  EXPECT_EQ(RowsMatched(t, q), 3.0);
 }
 
 TEST(GroupByTest, MultipleAggregates) {
@@ -58,7 +77,7 @@ TEST(GroupByTest, MultipleAggregates) {
       AggregateSpec::Make(AggregateFunction::kMax, "m1", "mx"),
       AggregateSpec::Count("n"),
   };
-  auto result = ExecuteGroupBy(t, q, nullptr);
+  auto result = ExecuteOn(t, q, nullptr);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->num_columns(), 5u);
   int a_row = FindRowByKey(*result, Value("a"));
@@ -80,7 +99,7 @@ TEST(GroupByTest, FilterAggregates) {
                           PredicatePtr(Eq("e", Value("x")))),
       AggregateSpec::Make(AggregateFunction::kSum, "m1", "cmp"),
   };
-  auto result = ExecuteGroupBy(t, q, nullptr);
+  auto result = ExecuteOn(t, q, nullptr);
   ASSERT_TRUE(result.ok());
   int a_row = FindRowByKey(*result, Value("a"));
   int b_row = FindRowByKey(*result, Value("b"));
@@ -105,8 +124,8 @@ TEST(GroupByTest, FilteredEqualsWhereSemantics) {
   where_q.where = p;
   where_q.aggregates = {AggregateSpec::Make(AggregateFunction::kSum, "m1", "v")};
 
-  auto fr = ExecuteGroupBy(t, filtered, nullptr);
-  auto wr = ExecuteGroupBy(t, where_q, nullptr);
+  auto fr = ExecuteOn(t, filtered, nullptr);
+  auto wr = ExecuteOn(t, where_q, nullptr);
   ASSERT_TRUE(fr.ok());
   ASSERT_TRUE(wr.ok());
   for (size_t r = 0; r < wr->num_rows(); ++r) {
@@ -120,11 +139,11 @@ TEST(GroupByTest, MultiColumnGroupBy) {
   Table t = MakeTinyTable();
   GroupByQuery q = BasicQuery();
   q.group_by = {"d", "e"};
-  GroupByStats stats;
-  auto result = ExecuteGroupBy(t, q, &stats);
+  EngineStatsSnapshot stats;
+  auto result = ExecuteOn(t, q, &stats);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->num_rows(), 4u);  // (a,x),(a,y),(b,x),(b,y)
-  EXPECT_EQ(stats.num_groups, 4u);
+  EXPECT_EQ(stats.groups_created, 4u);
   // Sorted lexicographically: (a,x) first.
   EXPECT_EQ(result->ValueAt(0, 0), Value("a"));
   EXPECT_EQ(result->ValueAt(0, 1), Value("x"));
@@ -135,7 +154,7 @@ TEST(GroupByTest, EmptyGroupByIsGlobalAggregate) {
   Table t = MakeTinyTable();
   GroupByQuery q = BasicQuery();
   q.group_by = {};
-  auto result = ExecuteGroupBy(t, q, nullptr);
+  auto result = ExecuteOn(t, q, nullptr);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->num_rows(), 1u);
   EXPECT_EQ(result->ValueAt(0, 0), Value(21.0));  // sum of all m1
@@ -149,7 +168,7 @@ TEST(GroupByTest, NullGroupKeyFormsItsOwnGroup) {
   ASSERT_TRUE(t.AppendRow({Value::Null(), Value(3.0)}).ok());
   GroupByQuery q = BasicQuery();
   q.aggregates = {AggregateSpec::Make(AggregateFunction::kSum, "m")};
-  auto result = ExecuteGroupBy(t, q, nullptr);
+  auto result = ExecuteOn(t, q, nullptr);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->num_rows(), 2u);
   // Null sorts first.
@@ -166,7 +185,7 @@ TEST(GroupByTest, NullMeasuresSkipped) {
   q.aggregates = {AggregateSpec::Make(AggregateFunction::kSum, "m", "s"),
                   AggregateSpec::Make(AggregateFunction::kCount, "m", "c"),
                   AggregateSpec::Count("star")};
-  auto result = ExecuteGroupBy(t, q, nullptr);
+  auto result = ExecuteOn(t, q, nullptr);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->ValueAt(0, 1), Value(1.0));  // sum skips null
   EXPECT_EQ(result->ValueAt(0, 2), Value(1.0));  // COUNT(m) skips null
@@ -181,8 +200,8 @@ TEST(GroupByTest, SamplingReducesRowsScanned) {
   q.aggregates = {AggregateSpec::Make(AggregateFunction::kSum, "amount")};
   q.sample_fraction = 0.5;
   q.sample_seed = 3;
-  GroupByStats stats;
-  auto result = ExecuteGroupBy(t, q, &stats);
+  EngineStatsSnapshot stats;
+  auto result = ExecuteOn(t, q, &stats);
   ASSERT_TRUE(result.ok());
   EXPECT_LT(stats.rows_scanned, t.num_rows());
   EXPECT_GT(stats.rows_scanned, 0u);
@@ -192,37 +211,44 @@ TEST(GroupByTest, SampleFractionValidated) {
   Table t = MakeTinyTable();
   GroupByQuery q = BasicQuery();
   q.sample_fraction = 0.0;
-  EXPECT_FALSE(ExecuteGroupBy(t, q, nullptr).ok());
+  EXPECT_FALSE(ExecuteOn(t, q, nullptr).ok());
   q.sample_fraction = 1.5;
-  EXPECT_FALSE(ExecuteGroupBy(t, q, nullptr).ok());
+  EXPECT_FALSE(ExecuteOn(t, q, nullptr).ok());
 }
 
 TEST(GroupByTest, ValidationErrors) {
   Table t = MakeTinyTable();
   GroupByQuery q = BasicQuery();
   q.group_by = {"missing"};
-  EXPECT_FALSE(ExecuteGroupBy(t, q, nullptr).ok());
+  EXPECT_FALSE(ExecuteOn(t, q, nullptr).ok());
 
   q = BasicQuery();
   q.aggregates = {};
-  EXPECT_FALSE(ExecuteGroupBy(t, q, nullptr).ok());
+  EXPECT_FALSE(ExecuteOn(t, q, nullptr).ok());
 
   q = BasicQuery();
   q.aggregates = {AggregateSpec::Make(AggregateFunction::kSum, "d")};
-  EXPECT_FALSE(ExecuteGroupBy(t, q, nullptr).ok());  // string measure
+  EXPECT_FALSE(ExecuteOn(t, q, nullptr).ok());  // string measure
 
   q = BasicQuery();
   q.aggregates = {AggregateSpec::Make(AggregateFunction::kSum, "")};
-  EXPECT_FALSE(ExecuteGroupBy(t, q, nullptr).ok());  // SUM needs input
+  EXPECT_FALSE(ExecuteOn(t, q, nullptr).ok());  // SUM needs input
 }
 
 TEST(GroupByTest, AggStateBytesReported) {
   Table t = MakeTinyTable();
   GroupByQuery q = BasicQuery();
   q.aggregates.push_back(AggregateSpec::Make(AggregateFunction::kAvg, "m2"));
-  GroupByStats stats;
-  ASSERT_TRUE(ExecuteGroupBy(t, q, &stats).ok());
-  EXPECT_EQ(stats.agg_state_bytes, 2u * 2u * sizeof(AggState));
+  EngineStatsSnapshot stats;
+  ASSERT_TRUE(ExecuteOn(t, q, &stats).ok());
+  // 2 groups x 2 accumulators (m1, m2).
+  EXPECT_EQ(stats.peak_agg_state_bytes, 2u * 2u * sizeof(AggState));
+
+  // More functions of the same measures read the same accumulators.
+  q.aggregates.push_back(AggregateSpec::Make(AggregateFunction::kMax, "m1"));
+  q.aggregates.push_back(AggregateSpec::Make(AggregateFunction::kCount, "m2"));
+  ASSERT_TRUE(ExecuteOn(t, q, &stats).ok());
+  EXPECT_EQ(stats.peak_agg_state_bytes, 2u * 2u * sizeof(AggState));
 }
 
 TEST(GroupByTest, ToSqlRendering) {
@@ -242,7 +268,7 @@ TEST(GroupByTest, LaserwaveTable1Reproduction) {
   q.where = PredicatePtr(Eq("product", Value("Laserwave")));
   q.group_by = {"store"};
   q.aggregates = {AggregateSpec::Make(AggregateFunction::kSum, "amount")};
-  auto result = ExecuteGroupBy(t, q, nullptr);
+  auto result = ExecuteOn(t, q, nullptr);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->num_rows(), 4u);
   int cambridge = FindRowByKey(*result, Value("Cambridge, MA"));

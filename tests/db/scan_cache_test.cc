@@ -224,6 +224,42 @@ TEST(ScanCacheIntegrationTest, EqualSpellingsShareRecipeAndEntry) {
   EXPECT_EQ(snap.cache_hits, 4u);    // q2 and q3, two sets each
 }
 
+// Cache keys leave the aggregate function out, so an entry published by a
+// COUNT(x) query must carry the sum, min and max a later SUM(x) / MIN(x)
+// query over the same input and FILTER adopts: numeric accumulators always
+// carry every function's state.
+TEST(ScanCacheIntegrationTest, CountEntryServesALaterSumExactly) {
+  GroupingSetsQuery count;
+  count.table = "t";
+  count.grouping_sets = {{"d"}};
+  count.aggregates = {AggregateSpec::Make(AggregateFunction::kCount, "m1")};
+
+  Catalog catalog;
+  ASSERT_TRUE(catalog.AddTable("t", MakeTinyTable()).ok());
+  Engine engine(&catalog);
+  engine.EnableResultCache(1 << 20);
+  ASSERT_TRUE(engine.ExecuteShared({count}).ok());
+  Engine uncached(&catalog);
+  for (AggregateFunction func :
+       {AggregateFunction::kSum, AggregateFunction::kMin,
+        AggregateFunction::kAvg}) {
+    GroupingSetsQuery later = count;
+    later.aggregates = {AggregateSpec::Make(func, "m1")};
+    auto want = uncached.ExecuteShared({later});
+    auto got = engine.ExecuteShared({later});
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    const Table& g = (*got)[0][0];
+    const Table& w = (*want)[0][0];
+    ASSERT_EQ(g.num_rows(), w.num_rows());
+    for (size_t r = 0; r < g.num_rows(); ++r) {
+      EXPECT_EQ(g.ValueAt(r, 1), w.ValueAt(r, 1))
+          << AggregateFunctionToSql(func) << " row " << r;
+    }
+  }
+  EXPECT_EQ(engine.stats().cache_hits, 3u);
+}
+
 // Distinct literal *types* (string "1" vs number 1) must produce distinct
 // cache keys even when the spelling matches — and at the engine level,
 // distinct literal values must produce disjoint entries.

@@ -9,6 +9,7 @@
 #include "data/synthetic.h"
 #include "db/engine.h"
 #include "db/predicate.h"
+#include "reference_executor.h"
 
 namespace seedb::db {
 namespace {
@@ -38,7 +39,7 @@ void ExpectTablesMatch(const Table& got, const Table& want,
 }
 
 // Runs `queries` through both the fused shared scan (with `options`) and
-// query-at-a-time ExecuteGroupingSets, and requires identical results.
+// the row-at-a-time reference executor, and requires identical results.
 void ExpectParity(const Table& table,
                   const std::vector<GroupingSetsQuery>& queries,
                   const SharedScanOptions& options,
@@ -47,7 +48,7 @@ void ExpectParity(const Table& table,
   ASSERT_TRUE(fused.ok()) << fused.status().ToString();
   ASSERT_EQ(fused->size(), queries.size());
   for (size_t q = 0; q < queries.size(); ++q) {
-    auto expected = ExecuteGroupingSets(table, queries[q], nullptr);
+    auto expected = ::seedb::testing::ReferenceExecute(table, queries[q]);
     ASSERT_TRUE(expected.ok()) << expected.status().ToString();
     ASSERT_EQ((*fused)[q].size(), expected->size()) << "query " << q;
     for (size_t s = 0; s < expected->size(); ++s) {
@@ -176,7 +177,7 @@ TEST(SharedScanTest, MorselAndThreadSweepParity) {
 }
 
 // A global aggregate whose WHERE matches nothing still yields its one group
-// (COUNT = 0), exactly like ExecuteGroupingSets.
+// (COUNT = 0), exactly like the reference executor.
 TEST(SharedScanTest, EmptySelectionGlobalAggregateKeepsItsGroup) {
   Table t = MakeTinyTable();
   GroupingSetsQuery q;
@@ -483,7 +484,7 @@ TEST(SharedScanStateTest, DeactivatedQueryIsFrozenAndYieldsNoFinalTables) {
   EXPECT_TRUE((*final_results)[1].empty());   // retired query: no tables
 
   // The survivor still matches an independent full scan.
-  auto expected = ExecuteGroupingSets(t, by_store, nullptr);
+  auto expected = ::seedb::testing::ReferenceExecute(t, by_store);
   ASSERT_TRUE(expected.ok());
   ExpectTablesMatch((*final_results)[0][0], (*expected)[0], "survivor");
 }
@@ -658,7 +659,7 @@ TEST(SharedScanStateTest, ThreadedCancelThenResumeKeepsParity) {
 
   auto resumed = state->FinalResults();
   ASSERT_TRUE(resumed.ok());
-  auto expected = ExecuteGroupingSets(t, q, nullptr);
+  auto expected = ::seedb::testing::ReferenceExecute(t, q);
   ASSERT_TRUE(expected.ok());
   ASSERT_EQ((*resumed)[0].size(), expected->size());
   for (size_t s = 0; s < expected->size(); ++s) {
@@ -708,7 +709,7 @@ TEST(SharedScanStateTest, AdaptiveMorselsCoarsenAsQueriesRetire) {
   // The survivor still matches an independent full scan.
   auto final_results = state->FinalResults();
   ASSERT_TRUE(final_results.ok());
-  auto expected = ExecuteGroupingSets(t, queries[0], nullptr);
+  auto expected = ::seedb::testing::ReferenceExecute(t, queries[0]);
   ASSERT_TRUE(expected.ok());
   ExpectTablesMatch((*final_results)[0][0], (*expected)[0], "survivor");
 }

@@ -91,6 +91,100 @@ TEST(ColumnStatsTest, TopValuesSortedByCount) {
   EXPECT_EQ(cs.top_values[2].first, Value("small"));
 }
 
+// Every ColumnStats field of a table with nulls (including null slots that
+// hold dictionary code 0 before any value exists, and a column that is null
+// throughout), repeated doubles (+0.0 and -0.0 count as one value) and
+// repeated int64s. Distinct counts, diversity, entropy and top values all
+// derive from one frequency table.
+TEST(ColumnStatsTest, EveryFieldFromOneFrequencyTable) {
+  Schema schema({
+      ColumnDef::Dimension("s"),
+      ColumnDef::Dimension("z"),
+      ColumnDef::Measure("m"),
+      ColumnDef::Measure("k", ValueType::kInt64),
+  });
+  Table t(schema);
+  const Value null;
+  const std::vector<std::vector<Value>> rows = {
+      {null, null, Value(2.5), Value(int64_t{1})},
+      {Value("b"), null, Value(2.5), Value(int64_t{1})},
+      {Value("a"), null, null, Value(int64_t{2})},
+      {Value("b"), null, Value(-1.0), null},
+      {null, null, Value(2.5), Value(int64_t{1})},
+      {Value("c"), null, Value(0.0), Value(int64_t{3})},
+      {Value("b"), null, Value(-0.0), Value(int64_t{3})},
+      {Value("a"), null, Value(-1.0), Value(int64_t{1})},
+  };
+  for (const auto& row : rows) ASSERT_TRUE(t.AppendRow(row).ok());
+  // Entropy of a distribution normalized by log of its support size.
+  const auto entropy = [](std::vector<double> p) {
+    double h = 0.0;
+    for (double x : p) h -= x * std::log(x);
+    return h / std::log(static_cast<double>(p.size()));
+  };
+  using Top = std::vector<std::pair<Value, size_t>>;
+
+  ColumnStats s = ComputeColumnStats(t, 0);
+  EXPECT_EQ(s.name, "s");
+  EXPECT_EQ(s.type, ValueType::kString);
+  EXPECT_EQ(s.role, ColumnRole::kDimension);
+  EXPECT_EQ(s.row_count, 8u);
+  EXPECT_EQ(s.null_count, 2u);
+  EXPECT_EQ(s.distinct_count, 3u);
+  EXPECT_EQ(s.min, 0.0);
+  EXPECT_EQ(s.max, 0.0);
+  EXPECT_EQ(s.mean, 0.0);
+  EXPECT_EQ(s.variance, 0.0);
+  EXPECT_DOUBLE_EQ(s.diversity, 1.0 - (9.0 + 4.0 + 1.0) / 36.0);
+  EXPECT_DOUBLE_EQ(s.normalized_entropy,
+                   entropy({3.0 / 6.0, 2.0 / 6.0, 1.0 / 6.0}));
+  EXPECT_EQ(s.top_values, (Top{{Value("b"), 3}, {Value("a"), 2},
+                               {Value("c"), 1}}));
+
+  ColumnStats z = ComputeColumnStats(t, 1);
+  EXPECT_EQ(z.name, "z");
+  EXPECT_EQ(z.row_count, 8u);
+  EXPECT_EQ(z.null_count, 8u);
+  EXPECT_EQ(z.distinct_count, 0u);
+  EXPECT_EQ(z.diversity, 0.0);
+  EXPECT_EQ(z.normalized_entropy, 0.0);
+  EXPECT_TRUE(z.top_values.empty());
+
+  ColumnStats m = ComputeColumnStats(t, 2);
+  EXPECT_EQ(m.name, "m");
+  EXPECT_EQ(m.type, ValueType::kDouble);
+  EXPECT_EQ(m.role, ColumnRole::kMeasure);
+  EXPECT_EQ(m.row_count, 8u);
+  EXPECT_EQ(m.null_count, 1u);
+  EXPECT_EQ(m.distinct_count, 3u);
+  EXPECT_EQ(m.min, -1.0);
+  EXPECT_EQ(m.max, 2.5);
+  EXPECT_DOUBLE_EQ(m.mean, 5.5 / 7.0);
+  EXPECT_DOUBLE_EQ(m.variance, 2.3469387755102042);
+  EXPECT_DOUBLE_EQ(m.diversity, 1.0 - (9.0 + 4.0 + 4.0) / 49.0);
+  EXPECT_DOUBLE_EQ(m.normalized_entropy,
+                   entropy({3.0 / 7.0, 2.0 / 7.0, 2.0 / 7.0}));
+  // Ties on count order by value; the zero keeps its first spelling, +0.0.
+  EXPECT_EQ(m.top_values, (Top{{Value(2.5), 3}, {Value(-1.0), 2},
+                               {Value(0.0), 2}}));
+  EXPECT_FALSE(std::signbit(m.top_values[2].first.AsDouble()));
+
+  ColumnStats k = ComputeColumnStats(t, 3);
+  EXPECT_EQ(k.type, ValueType::kInt64);
+  EXPECT_EQ(k.null_count, 1u);
+  EXPECT_EQ(k.distinct_count, 3u);
+  EXPECT_EQ(k.min, 1.0);
+  EXPECT_EQ(k.max, 3.0);
+  EXPECT_DOUBLE_EQ(k.mean, 12.0 / 7.0);
+  EXPECT_DOUBLE_EQ(k.variance, 0.7755102040816327);
+  EXPECT_DOUBLE_EQ(k.diversity, 1.0 - (16.0 + 4.0 + 1.0) / 49.0);
+  EXPECT_DOUBLE_EQ(k.normalized_entropy,
+                   entropy({4.0 / 7.0, 2.0 / 7.0, 1.0 / 7.0}));
+  EXPECT_EQ(k.top_values, (Top{{Value(int64_t{1}), 4}, {Value(int64_t{3}), 2},
+                               {Value(int64_t{2}), 1}}));
+  EXPECT_EQ(k.top_values[0].first.type(), ValueType::kInt64);
+}
+
 TEST(TableStatsTest, CoversAllColumnsAndFind) {
   Table t = ::seedb::testing::MakeTinyTable();
   TableStats stats = ComputeTableStats(t, "tiny");

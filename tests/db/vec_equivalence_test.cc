@@ -8,14 +8,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "db/grouping_sets.h"
 #include "db/predicate.h"
+#include "db/scan_cache.h"
 #include "db/shared_scan.h"
 #include "db/table.h"
 #include "db/vec/simd/simd.h"
+#include "reference_executor.h"
 #include "util/random.h"
 
 namespace seedb::db {
@@ -337,7 +340,8 @@ TEST(VecEquivalenceTest, PhasedRunAllocatesWorkerSlabsOnce) {
   EXPECT_EQ(scan->stats().agg_slab_allocations, after_one)
       << "second phase must reuse the first phase's slabs";
 
-  // One allocation per (query, vectorized set) for the single worker.
+  // One allocation per (query, vectorized set, accumulator) for the single
+  // worker, whichever way the batch runs.
   size_t vec_sets = 0;
   SharedScanOptions probe_opts = options;
   {
@@ -437,6 +441,109 @@ TEST(VecEquivalenceTest, AllNullMorselAndStraddlingNullRuns) {
   EXPECT_EQ(by_d.ValueAt(2, 0), Value("b"));
   EXPECT_EQ(by_d.ValueAt(2, 1), Value(2.0));
   EXPECT_EQ(by_d.ValueAt(2, 2), Value(1.0));  // row 8's m is null
+}
+
+// One accumulator per (input, FILTER): COUNT/SUM/AVG/MIN/MAX of one measure
+// read one accumulator, the same five under a FILTER a second, COUNT(*) a
+// third — 12 output aggregates over 3 accumulators. Every tier (vectorized
+// with and without SIMD, scalar dense, hash) and warm cache adoption must
+// reproduce the row-at-a-time reference executor bit for bit, with NaN
+// inputs and a measure whose nulls COUNT(m) skips and COUNT(*) counts.
+TEST(VecEquivalenceTest, SharedAccumulatorsMatchReferenceOnEveryTier) {
+  Schema schema({
+      ColumnDef::Dimension("d"),
+      ColumnDef::Dimension("e"),
+      ColumnDef::Dimension("k", ValueType::kInt64),
+      ColumnDef::Measure("m"),
+  });
+  Table table(schema);
+  Random rng(29);
+  for (size_t i = 0; i < 1500; ++i) {
+    std::vector<Value> row;
+    row.emplace_back("d" + std::to_string(rng.UniformInt(0, 3)));
+    if (rng.Bernoulli(0.1)) {
+      row.emplace_back();
+    } else {
+      row.emplace_back("e" + std::to_string(rng.UniformInt(0, 2)));
+    }
+    row.emplace_back(static_cast<int64_t>(rng.UniformInt(0, 5)));
+    if (rng.Bernoulli(0.2)) {
+      row.emplace_back();
+    } else if (rng.Bernoulli(0.02)) {
+      row.emplace_back(std::numeric_limits<double>::quiet_NaN());
+    } else {
+      row.emplace_back(rng.UniformDouble(-50.0, 50.0));
+    }
+    ASSERT_TRUE(table.AppendRow(row).ok());
+  }
+
+  PredicatePtr filter(Eq("e", Value("e1")));
+  GroupingSetsQuery query;
+  query.table = "t";
+  // {d} and {d, e} take the dense kernels when vectorized, the scalar dense
+  // and hash loops when not; {k} (int64) always hashes; {} is global.
+  query.grouping_sets = {{"d"}, {"d", "e"}, {"k"}, {}};
+  for (const PredicatePtr& f : {PredicatePtr(), filter}) {
+    for (AggregateFunction func : AllAggregateFunctions()) {
+      query.aggregates.push_back(AggregateSpec::Make(
+          func, "m",
+          std::string(AggregateFunctionToSql(func)) + (f ? "_f" : ""), f));
+    }
+  }
+  query.aggregates.push_back(AggregateSpec::Count("star"));
+  const size_t kAccumulators = 3;
+
+  auto reference = ::seedb::testing::ReferenceExecute(table, query);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  const auto expect_reference = [&](const std::vector<Table>& got,
+                                    const std::string& label) {
+    ASSERT_EQ(got.size(), reference->size()) << label;
+    for (size_t s = 0; s < got.size(); ++s) {
+      EXPECT_EQ(::seedb::testing::BitDifference(got[s], (*reference)[s]), "")
+          << label << " set " << s;
+    }
+  };
+
+  SharedScanOptions simd;
+  simd.num_threads = 1;
+  simd.morsel_rows = 256;
+  SharedScanOptions scalar = simd;
+  scalar.enable_simd = false;
+  SharedScanOptions hash = simd;
+  hash.enable_vectorized = false;
+  for (const auto& [label, options] :
+       {std::pair<std::string, SharedScanOptions>{"simd", simd},
+        {"vec", scalar},
+        {"hash", hash}}) {
+    SharedScanStats stats;
+    auto got = ExecuteSharedScan(table, {query}, options, &stats);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    expect_reference((*got)[0], label);
+    // The merged state and the worker slabs are sized by accumulator, not
+    // by output aggregate.
+    EXPECT_EQ(stats.agg_state_bytes,
+              stats.total_groups * kAccumulators * sizeof(AggState))
+        << label;
+    const size_t vectorized_sets = options.enable_vectorized ? 3 : 0;
+    EXPECT_EQ(stats.agg_slab_allocations, vectorized_sets * kAccumulators)
+        << label;
+  }
+
+  // Warm cache adoption: a cold run publishes, a warm one adopts every
+  // (query, set) pair without scanning, and both match the reference.
+  PartialAggCache cache(size_t{1} << 24);
+  SharedScanOptions cached = simd;
+  cached.cache = &cache;
+  SharedScanStats cold_stats, warm_stats;
+  auto cold = ExecuteSharedScan(table, {query}, cached, &cold_stats);
+  auto warm = ExecuteSharedScan(table, {query}, cached, &warm_stats);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  EXPECT_EQ(cold_stats.cache_misses, query.grouping_sets.size());
+  EXPECT_EQ(warm_stats.cache_hits, query.grouping_sets.size());
+  EXPECT_EQ(warm_stats.rows_scanned, 0u);
+  expect_reference((*cold)[0], "cold");
+  expect_reference((*warm)[0], "warm");
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "db/engine.h"
 #include "db/table.h"
 
 namespace seedb::testing {
@@ -74,6 +75,36 @@ inline db::Table MakeTinyTable() {
     (void)s;
   }
   return table;
+}
+
+/// Row-by-row copy of `table` (Table itself is move-only): same schema,
+/// same values, same dictionary code order.
+inline db::Table CopyTable(const db::Table& table) {
+  db::Table copy(table.schema());
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    std::vector<db::Value> row;
+    for (size_t c = 0; c < table.num_columns(); ++c) {
+      row.push_back(table.ValueAt(r, c));
+    }
+    Status s = copy.AppendRow(row);
+    (void)s;
+  }
+  return copy;
+}
+
+/// Runs `query` through Engine::Execute on a fresh engine whose catalog
+/// holds a copy of `table` named query.table; `stats` (optional) receives
+/// that engine's counters afterwards.
+template <typename Query>
+auto ExecuteOn(const db::Table& table, const Query& query,
+               db::EngineStatsSnapshot* stats = nullptr) {
+  db::Catalog catalog;
+  Status added = catalog.AddTable(query.table, CopyTable(table));
+  (void)added;
+  db::Engine engine(&catalog);
+  auto result = engine.Execute(query);
+  if (stats != nullptr) *stats = engine.stats();
+  return result;
 }
 
 /// Finds the (first) row index of `table` whose column 0 equals `key`, or

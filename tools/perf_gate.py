@@ -25,10 +25,10 @@ the exit code.
 
 `--vectorized-old/--vectorized-new` additionally diff BENCH_vectorized.json
 artifacts (per-kernel throughput and the fused-plan wall clock of the dense
-inner loop vs the hash path vs ExecuteGroupingSets). Like the server bench
-these are ALWAYS advisory `::warning::` only — except that the gate also
-warns (still advisory) if the dense path stopped beating
-ExecuteGroupingSets, the exact regression the subsystem exists to close.
+inner loop vs the shared scan's hash tier). Like the server bench these are
+ALWAYS advisory `::warning::` only — except that the gate also warns (still
+advisory) if the dense path stopped beating the hash tier, the exact
+regression the subsystem exists to close.
 
 Usage: perf_gate.py OLD.json NEW.json [--threshold 0.30]
                     [--server-old OLD_SERVER.json --server-new NEW_SERVER.json]
@@ -228,8 +228,8 @@ def compare_server(old_path, new_path, threshold):
 def compare_vectorized(old_path, new_path, threshold):
     """Advisory diff of BENCH_vectorized.json artifacts: warn when a kernel
     or fused-path run slowed past the threshold, or when the dense path no
-    longer beats ExecuteGroupingSets. Returns the number of advisory
-    warnings; never fails the gate."""
+    longer beats the hash tier. Returns the number of advisory warnings;
+    never fails the gate."""
     def load(path):
         with open(path) as f:
             return json.load(f)
@@ -255,11 +255,11 @@ def compare_vectorized(old_path, new_path, threshold):
             print(f"::warning::vectorized bench regression (advisory): "
                   f"{name} went {old_ms:.2f}ms -> {new_ms:.2f}ms "
                   f"({delta:+.1%}, threshold {threshold:.0%})")
-    if not new_doc.get("vec_beats_grouping_sets", True):
+    if not new_doc.get("vec_beats_hash", True):
         warnings += 1
-        print("::warning::vectorized fused plan no longer beats "
-              "ExecuteGroupingSets on one core (advisory) — the regression "
-              "the dense kernels exist to close is back")
+        print("::warning::vectorized fused plan no longer beats the hash "
+              "tier on one core (advisory) — the regression the dense "
+              "kernels exist to close is back")
     if (new_doc.get("simd_isa", "scalar") != "scalar"
             and not new_doc.get("simd_beats_scalar_compare", True)):
         warnings += 1
