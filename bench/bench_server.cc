@@ -1,18 +1,18 @@
-// E13 — the serving layer: sessions/sec and per-`next` latency of the
-// recommendation server (src/server) under rising client concurrency,
-// plus the protocol-v2 connection sweep: 64/256/1k concurrent push
+// E13 — the serving layer: sessions/sec and the gap between pushed progress
+// frames of the recommendation server (src/server) under rising client
+// concurrency, plus the connection sweep: 64/256/1k concurrent push
 // sessions on one epoll loop, with p50/p99 frame-DELIVERY latency (client
 // receive time minus the server's ts_us send stamp — both on the same
 // steady clock, server in-process).
 //
 // SeeDB was built as middleware that clients query interactively (§5); the
 // question for the serving loop is what the wire + registry add on top of
-// the engine: how many full open -> next* -> finish sessions per second one
-// server sustains, what a single `next` round-trip costs at p50/p99
-// while N clients hammer the same Engine, and whether push-frame delivery
-// stays flat as connections scale past what thread-per-connection could
-// hold. Emits BENCH_server.json so CI tracks the trajectory (advisory diff
-// in tools/perf_gate.py).
+// the engine: how many full hello/open -> pushed frames -> finish sessions
+// per second one server sustains, how long a client waits from one pushed
+// frame to the next at p50/p99 while N clients hammer the same Engine, and
+// whether push-frame delivery stays flat as connections scale past what
+// thread-per-connection could hold. Emits BENCH_server.json so CI tracks the
+// trajectory (advisory diff in tools/perf_gate.py).
 
 #include <benchmark/benchmark.h>
 
@@ -67,7 +67,7 @@ struct SweepConn {
 /// server-driven push session; a single poll() loop consumes every frame
 /// and samples delivery latency = NowUs() - frame.ts_us.
 void RunConnectionSweep(bench::JsonWriter* json) {
-  std::printf("\n-- connection sweep: v2 push sessions on one epoll loop --\n");
+  std::printf("\n-- connection sweep: push sessions on one epoll loop --\n");
   data::WorkloadSpec spec;
   spec.rows = 4000;
   spec.num_dims = 3;
@@ -286,7 +286,7 @@ void RunResultCacheScenario(bench::JsonWriter* json) {
   std::printf("\n-- result cache: zipfian near-duplicate requests --\n");
   // Big enough that a cold session is scan-dominated (the protocol's fixed
   // per-session round-trips would otherwise cap the visible speedup), with
-  // few enough phases that polling overhead stays small.
+  // few enough phases that per-frame overhead stays small.
   constexpr size_t kSessions = 40;
   constexpr size_t kPoolSize = 8;
   constexpr size_t kPhases = 2;
@@ -342,7 +342,7 @@ void RunResultCacheScenario(bench::JsonWriter* json) {
       return out;
     }
     auto client = server::Client::ConnectUnix(socket_path);
-    if (!client.ok()) {
+    if (!client.ok() || !client->Hello().ok()) {
       out.failed = true;
       srv.Stop();
       return out;
@@ -435,7 +435,7 @@ void RunResultCacheScenario(bench::JsonWriter* json) {
 void RunExperiment() {
   bench::Banner(
       "E13 (serving layer)",
-      "wire-protocol session throughput and next-latency vs client count",
+      "wire-protocol session throughput and push frame gap vs client count",
       "the middleware deployment (§5): one engine serves many interactive "
       "clients; the serving loop should add protocol overhead, not "
       "serialization — throughput grows with clients until cores saturate");
@@ -469,7 +469,7 @@ void RunExperiment() {
   std::printf("table: %zu rows; %zu sessions x %zu phases per config\n\n",
               workload.rows, kSessionsPerClient, kPhases);
   std::printf("%10s %8s %10s %14s %12s %12s\n", "clients", "sessions",
-              "total(ms)", "sessions/sec", "next p50(ms)", "next p99(ms)");
+              "total(ms)", "sessions/sec", "gap p50(ms)", "gap p99(ms)");
 
   bench::JsonWriter json;
   json.BeginObject()
@@ -479,7 +479,9 @@ void RunExperiment() {
       .Key("runs").BeginArray();
 
   for (size_t clients : {1, 2, 4, 8}) {
-    std::vector<std::vector<double>> next_seconds(clients);
+    // Per client: the wait from the open ack (or the previous progress
+    // frame) to the next pushed progress frame.
+    std::vector<std::vector<double>> gap_seconds(clients);
     std::atomic<size_t> failures{0};
     Stopwatch wall;
     std::vector<std::thread> threads;
@@ -487,7 +489,7 @@ void RunExperiment() {
     for (size_t c = 0; c < clients; ++c) {
       threads.emplace_back([&, c] {
         auto client = server::Client::ConnectUnix(socket_path);
-        if (!client.ok()) {
+        if (!client.ok() || !client->Hello().ok()) {
           failures.fetch_add(1);
           return;
         }
@@ -499,14 +501,14 @@ void RunExperiment() {
             return;
           }
           while (true) {
-            Stopwatch next_timer;
+            Stopwatch gap_timer;
             auto progress = client->Next(id);
             if (!progress.ok()) {
               failures.fetch_add(1);
               return;
             }
             if (!progress->has_value()) break;
-            next_seconds[c].push_back(next_timer.ElapsedSeconds());
+            gap_seconds[c].push_back(gap_timer.ElapsedSeconds());
           }
           if (!client->Finish(id).ok()) {
             failures.fetch_add(1);
@@ -521,15 +523,15 @@ void RunExperiment() {
       std::printf("%10zu  FAILED (%zu errors)\n", clients, failures.load());
       continue;
     }
-    std::vector<double> all_next;
-    for (auto& per_client : next_seconds) {
-      all_next.insert(all_next.end(), per_client.begin(), per_client.end());
+    std::vector<double> all_gaps;
+    for (auto& per_client : gap_seconds) {
+      all_gaps.insert(all_gaps.end(), per_client.begin(), per_client.end());
     }
     const size_t sessions = clients * kSessionsPerClient;
     const double sessions_per_sec =
         static_cast<double>(sessions) / (total_ms / 1e3);
-    const double p50 = PercentileMs(&all_next, 0.50);
-    const double p99 = PercentileMs(&all_next, 0.99);
+    const double p50 = PercentileMs(&all_gaps, 0.50);
+    const double p99 = PercentileMs(&all_gaps, 0.99);
     std::printf("%10zu %8zu %10.1f %14.1f %12.3f %12.3f\n", clients, sessions,
                 total_ms, sessions_per_sec, p50, p99);
     json.BeginObject()
@@ -539,15 +541,15 @@ void RunExperiment() {
         .Key("sessions").Value(sessions)
         .Key("total_ms").Value(total_ms)
         .Key("sessions_per_sec").Value(sessions_per_sec)
-        .Key("next_p50_ms").Value(p50)
-        .Key("next_p99_ms").Value(p99)
+        .Key("frame_gap_p50_ms").Value(p50)
+        .Key("frame_gap_p99_ms").Value(p99)
         .EndObject();
   }
   json.EndArray();
   srv.Stop();
 
-  std::printf("\nExpected shape: p50 next-latency ~= one phase of the fused "
-              "scan plus a socket round-trip; sessions/sec grows with "
+  std::printf("\nExpected shape: p50 frame gap ~= one phase of the fused "
+              "scan plus one push hop; sessions/sec grows with "
               "clients while the engine has idle cores, then flattens — the "
               "registry itself never serializes distinct sessions.\n");
 
@@ -576,7 +578,7 @@ void BM_ServerSessionRoundTrip(benchmark::State& state) {
     return;
   }
   auto client = server::Client::ConnectUnix(socket_path);
-  if (!client.ok()) {
+  if (!client.ok() || !client->Hello().ok()) {
     state.SkipWithError("cannot connect");
     return;
   }

@@ -2,9 +2,9 @@
 //
 // With no arguments, spins up an in-process RecommendationServer on a
 // private unix socket over the store-orders demo table, then drives it the
-// way an interactive frontend would under protocol v2: negotiate push with
-// `hello`, open a server-driven session, watch per-phase progress frames
-// arrive as unsolicited pushes (no polling round-trips), cancel mid-scan,
+// way an interactive frontend would: negotiate push with `hello`, open a
+// server-driven session, watch per-phase progress frames arrive as
+// unsolicited pushes (no request per phase), cancel mid-scan,
 // RESUME the cancelled session (its merged aggregates survive — the final
 // top-k equals an uninterrupted run's), and fetch the final recommendations.
 //
@@ -68,15 +68,14 @@ int main(int argc, char** argv) {
   auto client = server::Client::ConnectUnix(socket_path);
   if (!client.ok()) return Fail(client.status(), "connect");
 
-  // -- Protocol v2 handshake. ---------------------------------------------
-  // `hello` negotiates the version and the push capability. Against an old
-  // server the call still succeeds and the connection silently stays on v1
-  // polling — everything below would keep working, one round-trip per phase.
+  // -- Handshake. ----------------------------------------------------------
+  // `hello` negotiates the version and the push capability; without push
+  // the server would never drive a session opened on this connection.
   Status hello = client->Hello();
   if (!hello.ok()) return Fail(hello, "hello");
   std::printf("negotiated protocol v%d (%s)\n\n",
               client->handshake().version,
-              client->push_enabled() ? "server push" : "v1 polling");
+              client->push_enabled() ? "server push" : "no push");
 
   size_t push_sessions_completed = 0;
 
@@ -128,20 +127,20 @@ int main(int argc, char** argv) {
   // -- Cancel, then resume: the session keeps its aggregates. -------------
   // A cancelled session is not discarded: `resume` re-opens it, the server
   // resumes driving, and the final ranking is the one an uninterrupted run
-  // produces. This block consumes the stream through the deprecated Next()
-  // shim — v1-shaped loops keep compiling, but on a push connection each
-  // call pops an already-pushed frame instead of making a round-trip.
+  // produces. This block pulls the stream frame by frame with
+  // Client::Next(id), which pops an already-pushed frame (or waits for the
+  // next one) — no request goes over the wire.
   server::OpenSpec second = spec;
   second.pruner.clear();  // exhaustive, so the resumed ranking is exact
   auto resumable = client->OpenSession("resumable", second);
   if (!resumable.ok()) return Fail(resumable.status(), "open resumable");
-  auto first_phase = resumable->Next();
-  if (!first_phase.ok()) return Fail(first_phase.status(), "next");
+  auto first_phase = client->Next(resumable->id());
+  if (!first_phase.ok()) return Fail(first_phase.status(), "first frame");
   Status cancelled = resumable->Cancel();
   if (!cancelled.ok()) return Fail(cancelled, "cancel");
   size_t drained_after = 0;
   while (true) {
-    auto progress = resumable->Next();
+    auto progress = client->Next(resumable->id());
     if (!progress.ok()) return Fail(progress.status(), "next after cancel");
     if (!progress->has_value()) break;
     ++drained_after;
@@ -154,7 +153,7 @@ int main(int argc, char** argv) {
   if (!resumed.ok()) return Fail(resumed, "resume");
   size_t resumed_phases = 0;
   while (true) {
-    auto progress = resumable->Next();
+    auto progress = client->Next(resumable->id());
     if (!progress.ok()) return Fail(progress.status(), "next after resume");
     if (!progress->has_value()) break;
     ++resumed_phases;

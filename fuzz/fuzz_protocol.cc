@@ -1,6 +1,6 @@
 // libFuzzer target for the line-delimited protocol dispatcher
 // (RecommendationServer::HandleLine): the full request path an untrusted
-// client controls — JSON parse, op dispatch, open/next/cancel/resume/
+// client controls — JSON parse, op dispatch, open/cancel/resume/
 // finish/status against a real Engine. Invariants are in fuzz/harness.h.
 //
 // Built two ways (see fuzz/CMakeLists.txt): with clang as a real libFuzzer

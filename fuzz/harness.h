@@ -107,7 +107,8 @@ class ProtocolHarness {
     server::ServerOptions options;
     options.max_sessions = 8;
     server_ = new server::RecommendationServer(engine_, options);
-    // No Start(): HandleLine drives the dispatcher directly, v1 semantics.
+    // No Start(): HandleLine drives the dispatcher directly, so sessions
+    // are never driven and `finish` runs them to the end.
   }
 
   db::Catalog catalog_;

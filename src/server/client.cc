@@ -171,12 +171,7 @@ Status Client::Hello(int version, bool request_push) {
   if (request_push) capabilities.push_back(kCapPush);
   SEEDB_ASSIGN_OR_RETURN(JsonValue response,
                          Call(HelloRequestToJson(version, capabilities)));
-  if (!response.GetBool("ok")) {
-    // A pre-v2 server: unknown op. Stay on v1 — everything still works,
-    // just by polling.
-    handshake_ = Handshake{};
-    return Status::OK();
-  }
+  SEEDB_RETURN_IF_ERROR(CheckOk(response));
   SEEDB_ASSIGN_OR_RETURN(handshake_, HandshakeFromJson(response));
   return Status::OK();
 }
@@ -190,7 +185,7 @@ Status Client::Open(const std::string& id, const OpenSpec& spec) {
 Result<RemoteSession> Client::OpenSession(const std::string& id,
                                           const OpenSpec& spec) {
   if (!push_enabled()) {
-    return Status::InvalidArgument(
+    return Status::FailedPrecondition(
         "OpenSession needs a push-mode connection (call Hello() first)");
   }
   SEEDB_RETURN_IF_ERROR(Open(id, spec));
@@ -198,26 +193,18 @@ Result<RemoteSession> Client::OpenSession(const std::string& id,
 }
 
 Result<std::optional<RemoteProgress>> Client::Next(const std::string& id) {
-  if (push_enabled()) {
-    // Deprecated shim: the server already pushed every update; drain the
-    // local queue instead of making a polling round-trip.
-    SEEDB_ASSIGN_OR_RETURN(JsonValue frame, NextPushFrame(id));
-    SEEDB_RETURN_IF_ERROR(CheckOk(frame));
-    if (frame.GetString("type") == "drained") {
-      return std::optional<RemoteProgress>();
-    }
-    SEEDB_ASSIGN_OR_RETURN(RemoteProgress progress, ProgressFromJson(frame));
-    return std::optional<RemoteProgress>(std::move(progress));
+  if (!push_enabled()) {
+    // Nothing drives a session on this connection, so no frame would ever
+    // arrive: fail instead of blocking on the socket forever.
+    return Status::FailedPrecondition(
+        "Next needs a push-mode connection (call Hello() first)");
   }
-  JsonValue request = JsonValue::Object();
-  request.Set("op", JsonValue::Str("next"));
-  request.Set("id", JsonValue::Str(id));
-  SEEDB_ASSIGN_OR_RETURN(JsonValue response, Call(request));
-  SEEDB_RETURN_IF_ERROR(CheckOk(response));
-  if (response.GetString("type") == "drained") {
+  SEEDB_ASSIGN_OR_RETURN(JsonValue frame, NextPushFrame(id));
+  SEEDB_RETURN_IF_ERROR(CheckOk(frame));
+  if (frame.GetString("type") == "drained") {
     return std::optional<RemoteProgress>();
   }
-  SEEDB_ASSIGN_OR_RETURN(RemoteProgress progress, ProgressFromJson(response));
+  SEEDB_ASSIGN_OR_RETURN(RemoteProgress progress, ProgressFromJson(frame));
   return std::optional<RemoteProgress>(std::move(progress));
 }
 
@@ -283,12 +270,6 @@ Result<RemoteResult> RemoteSession::Await() {
     }
   }
   return client_->Finish(id_);
-}
-
-Result<std::optional<RemoteProgress>> RemoteSession::Next() {
-  Result<std::optional<RemoteProgress>> next = client_->Next(id_);
-  if (!next.ok()) last_error_ = next.status();
-  return next;
 }
 
 Status RemoteSession::Cancel() { return client_->Cancel(id_); }

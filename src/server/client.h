@@ -1,9 +1,9 @@
 // Client library for the recommendation server: a blocking connection
 // speaking the line-delimited JSON protocol of server/protocol.h.
 //
-// Protocol v2 (the default): Hello() negotiates the `push` capability, and
-// sessions opened on the connection are driven by the server — progress
-// arrives as unsolicited push frames, consumed through a RemoteSession:
+// Hello() negotiates the `push` capability, and sessions opened on the
+// connection are then driven by the server — progress arrives as
+// unsolicited push frames, consumed through a RemoteSession:
 //
 //   SEEDB_ASSIGN_OR_RETURN(auto client, Client::ConnectUnix("/tmp/seedb.sock"));
 //   SEEDB_RETURN_IF_ERROR(client.Hello());
@@ -15,16 +15,17 @@
 //   session.OnProgress([](const RemoteProgress& p) { ... });  // per phase
 //   SEEDB_ASSIGN_OR_RETURN(RemoteResult result, session.Await());
 //
-// Await() pumps the push stream — no polling round-trips — delivering each
+// Await() pumps the push stream — no request per phase — delivering each
 // phase's frame to the OnProgress callback, and finishes the session once
 // the server signals `drained`. A mid-stream server error (e.g. a memory
 // budget breach) is remembered in last_error() and Await() still finishes,
 // so partial results come back exactly as they do in-process.
 //
-// Legacy v1: skip Hello() and the connection polls — Open() / Next() /
-// Finish() make one request round-trip each, unchanged. On a push-mode
-// connection Next() survives as a DEPRECATED shim that drains the local
-// push queue (again no round-trips), so v1-shaped loops keep working.
+// Client::Next(id) is the pull form of the same stream: it pops the next
+// pushed frame for one session (no request is sent), which suits loops that
+// interleave progress with other calls. Without Hello() nothing is pushed:
+// Open() / Finish() / GetStatus() still work — `finish` runs the session to
+// the end — but Next() fails with FailedPrecondition instead of blocking.
 //
 // Server-side failures come back as the Status the server produced (codes
 // round-trip through the protocol's error tokens) — a budget breach is the
@@ -63,9 +64,7 @@ class Client {
   ~Client();
 
   /// Negotiates the protocol version and capabilities (push on by
-  /// default). A server predating `hello` answers with an error; the
-  /// client then stays on v1 silently, so connecting tooling works against
-  /// either generation.
+  /// default). A server that refuses the handshake returns its error.
   Status Hello(int version = kProtocolVersion, bool request_push = true);
   const Handshake& handshake() const { return handshake_; }
   /// True once Hello() negotiated server-driven push frames.
@@ -81,7 +80,7 @@ class Client {
 
   /// Sends a raw line verbatim and returns the raw response line — the
   /// protocol tests' hatch for malformed input the typed API cannot send.
-  /// Does NOT sift push frames; use on v1 connections.
+  /// Does NOT sift push frames; use on connections without push.
   Result<std::string> CallRaw(const std::string& line);
 
   /// The "retry_after_ms" hint of the last error response, 0 when the last
@@ -91,15 +90,17 @@ class Client {
   /// appended to the returned Status message ("... (retry after N ms)").
   int last_retry_after_ms() const { return last_retry_after_ms_; }
 
+  /// Opens a session; on a push connection the server starts driving it.
   Status Open(const std::string& id, const OpenSpec& spec);
-  /// Protocol v2: opens a server-driven session and returns its handle.
-  /// The handle borrows this client — keep the client alive (and unmoved)
-  /// while using it.
+  /// Opens a server-driven session and returns its handle
+  /// (FailedPrecondition before Hello()). The handle borrows this client —
+  /// keep the client alive (and unmoved) while using it.
   Result<RemoteSession> OpenSession(const std::string& id,
                                     const OpenSpec& spec);
-  /// v1: one polling round-trip; nullopt once the session is drained. On a
-  /// push connection this is the deprecated compatibility shim — it pops
-  /// the next pushed update instead (no request is sent).
+  /// The next pushed progress frame of session `id`, blocking until it
+  /// arrives; nullopt once the stream drained. No request is sent.
+  /// FailedPrecondition on a connection without push, where nothing would
+  /// ever arrive.
   Result<std::optional<RemoteProgress>> Next(const std::string& id);
   Status Cancel(const std::string& id);
   Status Resume(const std::string& id);
@@ -148,8 +149,8 @@ class Client {
 /// \brief Handle to one server-driven session on a push-mode connection.
 ///
 /// Borrows its Client (which must outlive it); not thread-safe, same as the
-/// client. Progress consumption is callback-style — OnProgress + Await —
-/// or, for v1-shaped code, the deprecated Next() shim.
+/// client. Progress consumption is callback-style — OnProgress + Await — or
+/// pull-style through Client::Next(id()).
 class RemoteSession {
  public:
   const std::string& id() const { return id_; }
@@ -166,11 +167,6 @@ class RemoteSession {
   /// partial results return exactly as in-process.
   Result<RemoteResult> Await();
 
-  /// DEPRECATED v1-compatibility shim: pops the next pushed update,
-  /// nullopt once drained. No polling round-trip is made — the frames were
-  /// already pushed. New code should use OnProgress + Await.
-  Result<std::optional<RemoteProgress>> Next();
-
   /// Flips the server-side cancel token; the in-flight phase stops at
   /// morsel granularity and the stream then drains.
   Status Cancel();
@@ -180,7 +176,7 @@ class RemoteSession {
   /// Explicit finish (Await() does this for you).
   Result<RemoteResult> Finish() { return client_->Finish(id_); }
 
-  /// The last mid-stream error frame Await()/Next() saw (OK if none).
+  /// The last mid-stream error frame Await() saw (OK if none).
   const Status& last_error() const { return last_error_; }
 
  private:

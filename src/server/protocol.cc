@@ -85,6 +85,8 @@ const char* StatusCodeToken(StatusCode code) {
       return "internal";
     case StatusCode::kUnavailable:
       return "busy";
+    case StatusCode::kFailedPrecondition:
+      return "failed_precondition";
   }
   return "internal";
 }
@@ -98,6 +100,7 @@ StatusCode StatusCodeFromToken(const std::string& token) {
   if (token == "not_implemented") return StatusCode::kNotImplemented;
   if (token == "io_error") return StatusCode::kIOError;
   if (token == "busy") return StatusCode::kUnavailable;
+  if (token == "failed_precondition") return StatusCode::kFailedPrecondition;
   return StatusCode::kInternal;
 }
 

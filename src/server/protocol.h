@@ -7,18 +7,16 @@
 //                                                  -> {"ok":true,"type":"hello",...}
 //   {"op":"open","id":"s1","sql":"SELECT * FROM sales WHERE ...","k":3,
 //    "phases":8,"pruner":"ci"}                     -> {"ok":true,"type":"opened",...}
-//   {"op":"next","id":"s1"}                        -> {"ok":true,"type":"progress",...}
-//                                                     or {"type":"drained"}
 //   {"op":"cancel","id":"s1"}                      -> {"ok":true,"type":"ack"}
 //   {"op":"resume","id":"s1"}                      -> {"ok":true,"type":"ack"}
 //   {"op":"status","id":"s1"} / {"op":"status"}    -> {"ok":true,"type":"status",...}
 //   {"op":"finish","id":"s1"}                      -> {"ok":true,"type":"result",...}
 //   {"op":"metrics"}                               -> {"ok":true,"type":"metrics",...}
 //
-// Protocol v2 (negotiated by `hello` with the `push` capability): a session
-// opened on a v2 connection is DRIVEN BY THE SERVER — every completed
-// phase's ProgressUpdate arrives as an unsolicited push frame the moment it
-// completes, no `next` polling. Push frames are distinguished from
+// Progress is pushed, never requested. A session opened on a connection
+// that negotiated the `push` capability with `hello` is DRIVEN BY THE
+// SERVER — every completed phase's ProgressUpdate arrives as an unsolicited
+// push frame the moment it completes. Push frames are distinguished from
 // responses by "push":true and carry a per-session "seq" plus the server's
 // steady-clock send stamp "ts_us" (frame-delivery latency measurement):
 //
@@ -26,10 +24,11 @@
 //   {"ok":true,"id":"s1","type":"drained","push":true,"seq":4}
 //
 // After the drained push frame the client sends `finish` and receives the
-// same `result` frame v1 gets — results over push are bit-identical to v1
-// and to in-process runs. Connections that skip `hello` get the legacy v1
-// polling behavior unchanged. The `binary_frames` capability name is
-// RESERVED for bulk view data; the server never advertises it yet.
+// `result` frame — results over push are bit-identical to in-process runs.
+// A session opened without push is not driven: nothing is pushed, and
+// `finish` runs it to the end. There is no polling op (`next` answers
+// "unknown op"). The `binary_frames` capability name is RESERVED for bulk
+// view data; the server never advertises it yet.
 //
 // Failures are {"ok":false,"error":"...","code":"invalid_argument"|...} and
 // never tear down the connection; the error codes round-trip seedb::Status
@@ -78,7 +77,7 @@ JsonValue ErrorResponse(const Status& status, const std::string& id);
 /// Reconstructs the Status carried by an {"ok":false,...} response.
 Status StatusFromErrorResponse(const JsonValue& response);
 
-// --- Protocol v2 handshake ---
+// --- Handshake ---
 
 /// What a `hello` negotiated: the version both sides speak and whether the
 /// connection is in push mode.
@@ -143,12 +142,12 @@ JsonValue ProgressToJson(const std::string& id,
 JsonValue ResultToJson(const std::string& id,
                        const core::RecommendationSet& set);
 
-// --- Metrics frames (protocol v2 addition; answered on any connection) ---
+// --- Metrics frames (answered on any connection) ---
 //
 //   {"op":"metrics"}  ->  {"ok":true,"type":"metrics",
 //                          "counters":{"engine.scan.rows":123,...},
 //                          "gauges":{...},
-//                          "histograms":{"server.request.next_us":{
+//                          "histograms":{"server.request.open_us":{
 //                            "count":N,"sum_us":S,"mean_us":M,
 //                            "p50_us":..,"p95_us":..,"p99_us":..,
 //                            "bucket_le_us":[1,2,4,...],

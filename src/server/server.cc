@@ -32,8 +32,6 @@ OpInstruments InstrumentsForOp(const std::string& op) {
   obs::Registry& reg = obs::Registry::Global();
   static obs::Histogram* open_us =
       reg.GetHistogram("server.request.open_us");
-  static obs::Histogram* next_us =
-      reg.GetHistogram("server.request.next_us");
   static obs::Histogram* cancel_us =
       reg.GetHistogram("server.request.cancel_us");
   static obs::Histogram* resume_us =
@@ -41,7 +39,6 @@ OpInstruments InstrumentsForOp(const std::string& op) {
   static obs::Histogram* finish_us =
       reg.GetHistogram("server.request.finish_us");
   if (op == "open") return {open_us, "server.open"};
-  if (op == "next") return {next_us, "server.next"};
   if (op == "cancel") return {cancel_us, "server.cancel"};
   if (op == "resume") return {resume_us, "server.resume"};
   if (op == "finish") return {finish_us, "server.finish"};
@@ -535,7 +532,7 @@ void RecommendationServer::PushProgress(ServerSession* entry,
                                         const std::string& id,
                                         const core::ProgressUpdate& update) {
   // The sink fires inside entry->session.Next()/Finish(), whose call sites
-  // (DrivePhase, HandleNext, HandleFinish) all hold entry->mu — see the
+  // (DrivePhase, HandleFinish) both hold entry->mu — see the
   // declaration for why this is asserted rather than REQUIRES'd.
   PushFrameLocked(entry, ProgressToJson(id, update));
 }
@@ -662,7 +659,7 @@ void RecommendationServer::EvictSession(
   {
     base::MutexLock lock(&entry->mu);
     if (!entry->drained_sent) {
-      // Tell the v2 subscriber NOW that the stream is over — before the
+      // Tell the push subscriber NOW that the stream is over — before the
       // fix, a queued phase job delivered `drained` arbitrarily late (or
       // emitted frames after it when the id was reopened).
       JsonValue drained = JsonValue::Object();
@@ -685,7 +682,7 @@ void RecommendationServer::EvictSession(
 // --- Request dispatch -----------------------------------------------------
 
 std::string RecommendationServer::HandleLine(const std::string& line) {
-  ReqCtx ctx;  // no connection: legacy v1 semantics, nowhere to push
+  ReqCtx ctx;  // no connection: nowhere to push, so sessions stay undriven
   return HandleLineOnConn(line, &ctx);
 }
 
@@ -715,7 +712,7 @@ JsonValue RecommendationServer::Dispatch(const JsonValue& request,
   if (op.empty()) {
     return ErrorResponse(
         Status::InvalidArgument("missing \"op\" (expected "
-                                "hello|open|next|cancel|resume|finish|"
+                                "hello|open|cancel|resume|finish|"
                                 "status|metrics)"),
         id);
   }
@@ -737,7 +734,6 @@ JsonValue RecommendationServer::Dispatch(const JsonValue& request,
         id);
   }
   if (op == "open") return HandleOpen(id, request, ctx);
-  if (op == "next") return HandleNext(id);
   if (op == "cancel") return HandleCancel(id);
   if (op == "resume") return HandleResume(id, ctx);
   if (op == "finish") return HandleFinish(id);
@@ -835,9 +831,10 @@ JsonValue RecommendationServer::HandleOpen(const std::string& id,
                     options_.session_idle_timeout_ms);
   }
   if (ctx->conn != nullptr && ctx->conn->handshake.push) {
-    // Protocol v2: the server drives this session. The session's sink
-    // serializes every ProgressUpdate straight into the bound connection's
-    // write queue; the phase jobs below only sequence Next() calls.
+    // The server drives this session. The session's sink serializes every
+    // ProgressUpdate straight into the bound connection's write queue; the
+    // phase jobs below only sequence Next() calls. Without push nothing
+    // drives the session, and `finish` runs it to the end.
     std::weak_ptr<ServerSession> weak = entry;
     entry->session.SetProgressSink(
         [this, weak, id](const core::ProgressUpdate& update) {
@@ -859,26 +856,6 @@ JsonValue RecommendationServer::HandleOpen(const std::string& id,
   response.Set("id", JsonValue::Str(id));
   response.Set("type", JsonValue::Str("opened"));
   return response;
-}
-
-JsonValue RecommendationServer::HandleNext(const std::string& id) {
-  std::shared_ptr<ServerSession> entry = FindSession(id);
-  if (entry == nullptr) {
-    return ErrorResponse(Status::NotFound("unknown session \"" + id + "\""),
-                         id);
-  }
-  Touch(entry.get());
-  base::MutexLock lock(&entry->mu);
-  Result<std::optional<core::ProgressUpdate>> update = entry->session.Next();
-  if (!update.ok()) return ErrorResponse(update.status(), id);
-  if (!update->has_value()) {
-    JsonValue response = JsonValue::Object();
-    response.Set("ok", JsonValue::Bool(true));
-    response.Set("id", JsonValue::Str(id));
-    response.Set("type", JsonValue::Str("drained"));
-    return response;
-  }
-  return ProgressToJson(id, **update);
 }
 
 JsonValue RecommendationServer::HandleCancel(const std::string& id) {

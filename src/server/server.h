@@ -10,20 +10,22 @@
 // strand: the connection's pending lines are handled by at most one worker
 // at a time); every session lives in a server-wide registry, so a session
 // opened on one connection can be cancelled — or, after a disconnect,
-// resumed — from another. Heavy work (Next / Finish) serializes per session
+// resumed — from another. Heavy work (phases / Finish) serializes per session
 // under that session's own lock; cancellation only flips the session's
 // atomic token, so a `cancel` from a second connection lands mid-phase and
 // is observed at morsel granularity. The Engine itself is concurrent, so
 // phases of different sessions scan in parallel — the registry multiplexes
 // sessions, the pool multiplexes handlers, the engine multiplexes cores.
 //
-// Protocol v2 (server/protocol.h): a connection that negotiates the `push`
-// capability gets its sessions DRIVEN BY THE SERVER — each `open` schedules
-// phase jobs that run one Next() apiece and re-enqueue themselves (so a
-// slow session cannot starve the pool), and the session's ProgressSink
-// serializes every ProgressUpdate straight into the connection's write
-// queue as an unsolicited push frame. Two serving-layer protections ride on
-// the same machinery:
+// A connection that negotiates the `push` capability (server/protocol.h)
+// gets its sessions DRIVEN BY THE SERVER — each `open` schedules phase jobs
+// that run one Next() apiece and re-enqueue themselves (so a slow session
+// cannot starve the pool), and the session's ProgressSink serializes every
+// ProgressUpdate straight into the connection's write queue as an
+// unsolicited push frame. Pushed frames are the only way progress leaves
+// the server: a session opened without push is not driven, and `finish`
+// runs it to the end. Two serving-layer protections ride on the same
+// machinery:
 //
 //   * Idle eviction — a hashed timer wheel (server/timer_wheel.h) the event
 //     loop advances; an `open` arms a timer, any touch refreshes the
@@ -97,7 +99,7 @@ struct ServerStats {
   uint64_t sessions_evicted = 0;
   /// `open` requests shed with `busy` by admission control.
   uint64_t sessions_rejected = 0;
-  /// Unsolicited protocol-v2 frames written (progress / drained / errors).
+  /// Unsolicited push frames written (progress / drained / errors).
   uint64_t push_frames_sent = 0;
 };
 
@@ -129,9 +131,10 @@ class RecommendationServer {
   size_t open_sessions() const;
 
   /// Handles one request line and returns the response line (no trailing
-  /// newline). Public so protocol tests can drive the dispatcher without a
-  /// socket (no Start() needed); such lines run as a legacy v1 peer —
-  /// `hello` negotiates but push frames have nowhere to go.
+  /// newline). The socketless seam the dispatch tests and the protocol fuzz
+  /// harness drive (no Start() needed): with no connection there is nowhere
+  /// to push, so sessions opened here are never driven — `finish` runs them
+  /// to the end — and `hello` negotiates without effect.
   std::string HandleLine(const std::string& line);
 
  private:
@@ -165,13 +168,13 @@ class RecommendationServer {
   };
 
   /// One registry entry: the session plus the lock serializing its heavy
-  /// operations (Next / Finish / Resume / the push driver's phases). Cancel
+  /// operations (Finish / Resume / the push driver's phases). Cancel
   /// needs no lock — it only flips the session's shared atomic token.
   struct ServerSession {
     explicit ServerSession(core::RecommendationSession session)
         : session(std::move(session)) {}
     base::Mutex mu;
-    /// Heavy operations (Next / Finish / Resume) serialize under mu; NOT
+    /// Heavy operations (phases / Finish / Resume) serialize under mu; NOT
     /// GUARDED_BY because Cancel() is deliberately lock-free — it only
     /// flips the session's shared atomic token from any thread.
     core::RecommendationSession session;
@@ -188,11 +191,12 @@ class RecommendationServer {
     /// or an in-flight Next must not emit after the terminal `drained`);
     /// only the eviction-sent drained itself bypasses the suppression.
     std::atomic<bool> evicted{false};
-    /// Counted against max_inflight_phases. Cleared once the session
-    /// drains (v2), finishes, or is evicted; resume re-arms it.
+    /// Counted against max_inflight_phases. Cleared once the session's
+    /// push stream drains (or its subscriber disconnects), it finishes, or
+    /// it is evicted; resume re-arms it.
     std::atomic<bool> counted_inflight{false};
 
-    // Protocol-v2 push-driving state.
+    // Push-driving state.
     bool driving GUARDED_BY(mu) = false;
     uint64_t push_seq GUARDED_BY(mu) = 0;
     /// A terminal `drained` frame actually reached the push connection's
@@ -219,7 +223,6 @@ class RecommendationServer {
   JsonValue HandleHello(const JsonValue& request, ReqCtx* ctx);
   JsonValue HandleOpen(const std::string& id, const JsonValue& request,
                        ReqCtx* ctx);
-  JsonValue HandleNext(const std::string& id);
   JsonValue HandleCancel(const std::string& id);
   JsonValue HandleResume(const std::string& id, ReqCtx* ctx);
   JsonValue HandleFinish(const std::string& id);

@@ -22,6 +22,8 @@ const char* StatusCodeToString(StatusCode code) {
       return "Internal";
     case StatusCode::kUnavailable:
       return "Unavailable";
+    case StatusCode::kFailedPrecondition:
+      return "Failed precondition";
   }
   return "Unknown";
 }

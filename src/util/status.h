@@ -26,6 +26,9 @@ enum class StatusCode {
   /// layer's admission control answers `open` with this ("busy" on the wire)
   /// when the Engine has no phase capacity left.
   kUnavailable,
+  /// The call is valid, but not in the object's current state (e.g. reading
+  /// pushed frames on a connection that never negotiated push).
+  kFailedPrecondition,
 };
 
 /// Returns a stable human-readable name for a StatusCode ("Invalid argument",
@@ -68,6 +71,9 @@ class Status {
   }
   static Status Unavailable(std::string msg) {
     return Status(StatusCode::kUnavailable, std::move(msg));
+  }
+  static Status FailedPrecondition(std::string msg) {
+    return Status(StatusCode::kFailedPrecondition, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

@@ -1,10 +1,11 @@
 // The `metrics` wire request: golden frame shape (counters/gauges objects,
 // per-histogram quantile fields and parallel bucket arrays) and the
-// acceptance property of the observability layer — after one session runs
-// through the server, the engine.phase.latency_us histogram in the
-// `metrics` response is non-zero and the per-request-type server
-// histograms counted every request. The obs registry is process-global and
-// other tests run sessions too, so assertions are >=, never ==.
+// acceptance property of the observability layer — after one push session
+// runs through the server, the engine.phase.latency_us histogram in the
+// `metrics` response is non-zero, the per-request-type server histograms
+// counted its requests, and the outbox histogram saw its frames leave. The
+// obs registry is process-global and other tests run sessions too, so
+// assertions are >=, never ==.
 
 #include <gtest/gtest.h>
 
@@ -80,17 +81,15 @@ TEST(MetricsFrameTest, ServerAnswersMetricsAfterASession) {
 
   auto client = Client::ConnectUnix(options.unix_path);
   ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(client->Hello().ok());
   OpenSpec spec;
   spec.sql = "SELECT * FROM sales WHERE product = 'Laserwave'";
   spec.k = 2;
   spec.phases = 3;
-  ASSERT_TRUE(client->Open("m1", spec).ok());
-  while (true) {
-    auto progress = client->Next("m1");
-    ASSERT_TRUE(progress.ok()) << progress.status();
-    if (!progress->has_value()) break;
-  }
-  ASSERT_TRUE(client->Finish("m1").ok());
+  auto session = client->OpenSession("m1", spec);
+  ASSERT_TRUE(session.ok()) << session.status();
+  ASSERT_TRUE(session->Await().ok());
+  ASSERT_EQ(server.stats().push_frames_sent, 4u);  // 3 progress + drained
 
   auto metrics = client->Metrics();
   ASSERT_TRUE(metrics.ok()) << metrics.status();
@@ -98,7 +97,7 @@ TEST(MetricsFrameTest, ServerAnswersMetricsAfterASession) {
   ASSERT_NE(hists, nullptr);
 
   // Acceptance: the engine-phase latency histogram saw this session's
-  // phases, and the request-type histograms saw its open/next/finish.
+  // phases, and the request-type histograms saw its open/finish.
   const JsonValue* phase = hists->Find("engine.phase.latency_us");
   ASSERT_NE(phase, nullptr);
   EXPECT_GE(phase->GetInt("count"), 3);
@@ -106,12 +105,18 @@ TEST(MetricsFrameTest, ServerAnswersMetricsAfterASession) {
   const JsonValue* open_us = hists->Find("server.request.open_us");
   ASSERT_NE(open_us, nullptr);
   EXPECT_GE(open_us->GetInt("count"), 1);
-  const JsonValue* next_us = hists->Find("server.request.next_us");
-  ASSERT_NE(next_us, nullptr);
-  EXPECT_GE(next_us->GetInt("count"), 4);  // 3 progress + 1 drained
   const JsonValue* finish_us = hists->Find("server.request.finish_us");
   ASSERT_NE(finish_us, nullptr);
   EXPECT_GE(finish_us->GetInt("count"), 1);
+  // The push path: every frame left through the outbox. A flush is recorded
+  // each time the outbox empties, and frames queued before the loop gets to
+  // them share one flush, so the count is pinned from below by what cannot
+  // share: the hello reply, the opened reply (with any frames right behind
+  // it), and the finish reply — the drained frame was read before finish
+  // was sent.
+  const JsonValue* flush_us = hists->Find("server.outbox.flush_us");
+  ASSERT_NE(flush_us, nullptr);
+  EXPECT_GE(flush_us->GetInt("count"), 3);
 
   // Engine-side counters flowed through the registry too.
   const JsonValue* counters = metrics->Find("counters");

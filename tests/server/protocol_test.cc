@@ -154,7 +154,7 @@ TEST(ProtocolTest, StatusCodesRoundTripThroughErrorFrames) {
        {StatusCode::kInvalidArgument, StatusCode::kNotFound,
         StatusCode::kAlreadyExists, StatusCode::kOutOfRange,
         StatusCode::kNotImplemented, StatusCode::kIOError,
-        StatusCode::kInternal}) {
+        StatusCode::kInternal, StatusCode::kFailedPrecondition}) {
     Status original(code, "the message");
     JsonValue frame = ErrorResponse(original, "s9");
     EXPECT_FALSE(frame.GetBool("ok"));
@@ -329,32 +329,44 @@ TEST_F(DispatchTest, SessionLifecycleAndIdsAfterFinish) {
   EXPECT_FALSE(dup.GetBool("ok"));
   EXPECT_EQ(dup.GetString("code"), "already_exists");
 
-  // Drain: 3 progress frames, then drained.
-  for (int i = 1; i <= 3; ++i) {
-    JsonValue progress = Call("{\"op\":\"next\",\"id\":\"s1\"}");
-    ASSERT_TRUE(progress.GetBool("ok"));
-    EXPECT_EQ(progress.GetString("type"), "progress");
-    EXPECT_EQ(progress.GetInt("phase"), i);
-  }
-  EXPECT_EQ(Call("{\"op\":\"next\",\"id\":\"s1\"}").GetString("type"),
-            "drained");
-
+  // No connection, so nothing drives the session: `finish` runs all three
+  // phases itself.
   JsonValue result = Call("{\"op\":\"finish\",\"id\":\"s1\"}");
   ASSERT_TRUE(result.GetBool("ok"));
   EXPECT_EQ(result.GetString("type"), "result");
   const JsonValue* top = result.Find("top");
   ASSERT_NE(top, nullptr);
   EXPECT_EQ(top->size(), 2u);
+  const JsonValue* profile = result.Find("profile");
+  ASSERT_NE(profile, nullptr);
+  EXPECT_EQ(profile->GetInt("phases_executed"), 3);
 
   // The id is gone: every op on it now answers not_found, and the id can
   // be reused by a fresh open.
-  for (const char* op : {"next", "cancel", "resume", "finish", "status"}) {
+  for (const char* op : {"cancel", "resume", "finish", "status"}) {
     JsonValue gone = Call(std::string("{\"op\":\"") + op +
                           "\",\"id\":\"s1\"}");
     EXPECT_FALSE(gone.GetBool("ok")) << op;
     EXPECT_EQ(gone.GetString("code"), "not_found") << op;
   }
   EXPECT_TRUE(Call(open).GetBool("ok"));
+}
+
+// Progress is pushed, never polled: `next` is not an op, whether or not
+// the id names a live session, and asking for it leaves the session alone.
+TEST_F(DispatchTest, NextIsAnUnknownOp) {
+  EXPECT_TRUE(Call("{\"op\":\"open\",\"id\":\"n1\",\"sql\":"
+                   "\"SELECT * FROM sales WHERE product = 'Laserwave'\"}")
+                  .GetBool("ok"));
+  for (const char* id : {"n1", "ghost"}) {
+    JsonValue next =
+        Call(std::string("{\"op\":\"next\",\"id\":\"") + id + "\"}");
+    EXPECT_FALSE(next.GetBool("ok")) << id;
+    EXPECT_EQ(next.GetString("code"), "invalid_argument") << id;
+    EXPECT_NE(next.GetString("error").find("unknown op"), std::string::npos)
+        << next.Dump();
+  }
+  EXPECT_EQ(Call("{\"op\":\"status\",\"id\":\"n1\"}").GetInt("phases_run"), 0);
 }
 
 TEST_F(DispatchTest, ResumeRequiresACancelledSession) {
@@ -366,12 +378,20 @@ TEST_F(DispatchTest, ResumeRequiresACancelledSession) {
   EXPECT_EQ(premature.GetString("code"), "invalid_argument");
 
   EXPECT_TRUE(Call("{\"op\":\"cancel\",\"id\":\"r1\"}").GetBool("ok"));
-  EXPECT_EQ(Call("{\"op\":\"next\",\"id\":\"r1\"}").GetString("type"),
-            "drained");
+  JsonValue cancelled = Call("{\"op\":\"status\",\"id\":\"r1\"}");
+  EXPECT_TRUE(cancelled.GetBool("cancelled"));
+  EXPECT_TRUE(cancelled.GetBool("done"));
   EXPECT_TRUE(Call("{\"op\":\"resume\",\"id\":\"r1\"}").GetBool("ok"));
-  // Resumed: phases run again.
-  EXPECT_EQ(Call("{\"op\":\"next\",\"id\":\"r1\"}").GetString("type"),
-            "progress");
+  // Resumed: live again, and `finish` runs every phase.
+  JsonValue resumed = Call("{\"op\":\"status\",\"id\":\"r1\"}");
+  EXPECT_FALSE(resumed.GetBool("cancelled"));
+  EXPECT_FALSE(resumed.GetBool("done"));
+  JsonValue result = Call("{\"op\":\"finish\",\"id\":\"r1\"}");
+  ASSERT_TRUE(result.GetBool("ok"));
+  const JsonValue* profile = result.Find("profile");
+  ASSERT_NE(profile, nullptr);
+  EXPECT_EQ(profile->GetInt("phases_executed"), 4);
+  EXPECT_FALSE(profile->GetBool("cancelled"));
 }
 
 TEST_F(DispatchTest, StatusWorksWithAndWithoutSession) {
@@ -382,11 +402,11 @@ TEST_F(DispatchTest, StatusWorksWithAndWithoutSession) {
   Call(
       "{\"op\":\"open\",\"id\":\"st\",\"sql\":"
       "\"SELECT * FROM sales WHERE product = 'Laserwave'\",\"phases\":2}");
-  Call("{\"op\":\"next\",\"id\":\"st\"}");
   JsonValue session_status = Call("{\"op\":\"status\",\"id\":\"st\"}");
   ASSERT_TRUE(session_status.GetBool("ok"));
   EXPECT_TRUE(session_status.GetBool("session"));
-  EXPECT_EQ(session_status.GetInt("phases_run"), 1);
+  // Undriven (no connection to push to): no phase has run yet.
+  EXPECT_EQ(session_status.GetInt("phases_run"), 0);
   EXPECT_FALSE(session_status.GetBool("done"));
   EXPECT_EQ(Call("{\"op\":\"status\"}").GetInt("sessions"), 1);
 }
@@ -431,7 +451,7 @@ TEST_F(WireTest, PipelinedAndSplitRequestsFrameCorrectly) {
   // two sends. Three responses must come back, in order.
   const std::string part1 = "{\"op\":\"sta";
   const std::string part2 =
-      "tus\"}\n{\"op\":\"status\"}\n{\"op\":\"next\",\"id\":\"nope\"}\n";
+      "tus\"}\n{\"op\":\"status\"}\n{\"op\":\"finish\",\"id\":\"nope\"}\n";
   ASSERT_EQ(::send(fd, part1.data(), part1.size(), 0),
             static_cast<ssize_t>(part1.size()));
   ASSERT_EQ(::send(fd, part2.data(), part2.size(), 0),

@@ -1,6 +1,6 @@
 // Differential oracle: for a seeded matrix of random SeeDBRequest configs
-// (strategy x pruner x phases x early-stop x k), results fetched through
-// the wire protocol must equal in-process Run() EXACTLY — same view set,
+// (strategy x pruner x phases x early-stop x k), results streamed over a
+// push connection must equal in-process Run() EXACTLY — same view set,
 // same order, bit-identical utilities (the protocol serializes doubles with
 // %.17g, so the socket round-trip loses nothing).
 
@@ -110,88 +110,58 @@ std::vector<MatrixConfig> BuildMatrix() {
   return matrix;
 }
 
-TEST_F(ServerEquivalenceTest, WireResultsEqualInProcessRunAcrossMatrix) {
-  auto client = Client::ConnectUnix(*socket_path_);
-  ASSERT_TRUE(client.ok()) << client.status();
-  core::SeeDB seedb(engine_);
-
-  size_t config_index = 0;
-  for (const MatrixConfig& config : BuildMatrix()) {
-    SCOPED_TRACE(config.label);
-    const std::string id = "matrix-" + std::to_string(config_index++);
-
-    // In-process truth, built from the SAME wire message the server will
-    // decode — the decode path is part of what's under test.
-    auto request = OpenRequestFromJson(OpenRequestToJson(id, config.spec));
-    ASSERT_TRUE(request.ok()) << request.status();
-    auto local = seedb.Run(*request);
-    ASSERT_TRUE(local.ok()) << local.status();
-
-    // The same config over the socket.
-    ASSERT_TRUE(client->Open(id, config.spec).ok());
-    while (true) {
-      auto progress = client->Next(id);
-      ASSERT_TRUE(progress.ok()) << progress.status();
-      if (!progress->has_value()) break;
-    }
-    auto remote = client->Finish(id);
-    ASSERT_TRUE(remote.ok()) << remote.status();
-
-    // View set, order, utilities: exact.
-    ASSERT_EQ(remote->top.size(), local->top_views.size());
-    for (size_t i = 0; i < remote->top.size(); ++i) {
-      EXPECT_EQ(remote->top[i].rank, local->top_views[i].rank) << "rank " << i;
-      EXPECT_EQ(remote->top[i].view_id, local->top_views[i].view().Id())
-          << "rank " << i + 1;
-      EXPECT_EQ(remote->top[i].utility, local->top_views[i].utility())
-          << "rank " << i + 1 << " utility must be bit-identical";
-      EXPECT_EQ(remote->top[i].target_sql, local->top_views[i].target_sql);
-    }
-    ASSERT_EQ(remote->low.size(), local->low_utility_views.size());
-    for (size_t i = 0; i < remote->low.size(); ++i) {
-      EXPECT_EQ(remote->low[i].view_id,
-                local->low_utility_views[i].view().Id());
-      EXPECT_EQ(remote->low[i].utility,
-                local->low_utility_views[i].utility());
-    }
-
-    // Pruned-view reporting: same views, same partial estimates.
-    ASSERT_EQ(remote->pruned_online.size(),
-              local->online_pruned_views.size());
-    for (size_t i = 0; i < remote->pruned_online.size(); ++i) {
-      EXPECT_EQ(remote->pruned_online[i].view_id,
-                local->online_pruned_views[i].view.Id());
-      EXPECT_EQ(remote->pruned_online[i].partial_utility,
-                local->online_pruned_views[i].partial_utility);
-      EXPECT_EQ(remote->pruned_online[i].pruned_at_phase,
-                local->online_pruned_views[i].pruned_at_phase);
-    }
-
-    // Cost profile: identical execution shape on both sides.
-    EXPECT_EQ(remote->metric,
-              core::DistanceMetricToString(local->metric));
-    EXPECT_EQ(remote->profile.views_enumerated,
-              local->profile.views_enumerated);
-    EXPECT_EQ(remote->profile.views_executed, local->profile.views_executed);
-    EXPECT_EQ(remote->profile.views_pruned_online,
-              local->profile.views_pruned_online);
-    EXPECT_EQ(remote->profile.examined_view_count,
-              local->profile.examined_view_count);
-    EXPECT_EQ(remote->profile.phases_executed,
-              local->profile.phases_executed);
-    EXPECT_EQ(remote->profile.table_scans, local->profile.table_scans);
-    EXPECT_EQ(remote->profile.rows_scanned, local->profile.rows_scanned);
-    EXPECT_EQ(remote->profile.early_stopped, local->profile.early_stopped);
-    EXPECT_FALSE(remote->profile.cancelled);
-    EXPECT_FALSE(remote->profile.budget_exceeded);
+/// Everything a `result` frame carries must equal the in-process set
+/// exactly: view set, order, utilities (bit-identical), SQL, the low-utility
+/// views, the pruned-view report and the cost profile.
+void ExpectResultMatches(const RemoteResult& remote,
+                         const core::RecommendationSet& local) {
+  ASSERT_EQ(remote.top.size(), local.top_views.size());
+  for (size_t i = 0; i < remote.top.size(); ++i) {
+    EXPECT_EQ(remote.top[i].rank, local.top_views[i].rank) << "rank " << i;
+    EXPECT_EQ(remote.top[i].view_id, local.top_views[i].view().Id())
+        << "rank " << i + 1;
+    EXPECT_EQ(remote.top[i].utility, local.top_views[i].utility())
+        << "rank " << i + 1 << " utility must be bit-identical";
+    EXPECT_EQ(remote.top[i].target_sql, local.top_views[i].target_sql);
   }
+  ASSERT_EQ(remote.low.size(), local.low_utility_views.size());
+  for (size_t i = 0; i < remote.low.size(); ++i) {
+    EXPECT_EQ(remote.low[i].view_id, local.low_utility_views[i].view().Id());
+    EXPECT_EQ(remote.low[i].utility, local.low_utility_views[i].utility());
+  }
+
+  // Pruned-view reporting: same views, same partial estimates.
+  ASSERT_EQ(remote.pruned_online.size(), local.online_pruned_views.size());
+  for (size_t i = 0; i < remote.pruned_online.size(); ++i) {
+    EXPECT_EQ(remote.pruned_online[i].view_id,
+              local.online_pruned_views[i].view.Id());
+    EXPECT_EQ(remote.pruned_online[i].partial_utility,
+              local.online_pruned_views[i].partial_utility);
+    EXPECT_EQ(remote.pruned_online[i].pruned_at_phase,
+              local.online_pruned_views[i].pruned_at_phase);
+  }
+
+  // Cost profile: identical execution shape on both sides.
+  EXPECT_EQ(remote.metric, core::DistanceMetricToString(local.metric));
+  EXPECT_EQ(remote.profile.views_enumerated, local.profile.views_enumerated);
+  EXPECT_EQ(remote.profile.views_executed, local.profile.views_executed);
+  EXPECT_EQ(remote.profile.views_pruned_online,
+            local.profile.views_pruned_online);
+  EXPECT_EQ(remote.profile.examined_view_count,
+            local.profile.examined_view_count);
+  EXPECT_EQ(remote.profile.phases_executed, local.profile.phases_executed);
+  EXPECT_EQ(remote.profile.table_scans, local.profile.table_scans);
+  EXPECT_EQ(remote.profile.rows_scanned, local.profile.rows_scanned);
+  EXPECT_EQ(remote.profile.early_stopped, local.profile.early_stopped);
+  EXPECT_FALSE(remote.profile.cancelled);
+  EXPECT_FALSE(remote.profile.budget_exceeded);
 }
 
-// The same differential oracle under protocol v2: results consumed from
-// the server-driven push stream (hello -> open -> Await) must STILL be
-// bit-identical to in-process Run() — the transport changed, the numbers
-// must not. Progress frames are compared too: the pushed per-phase
-// rankings equal the in-process session's, phase for phase.
+// Results consumed from the server-driven push stream (hello -> open ->
+// Await) must be bit-identical to in-process runs: the final `result` frame
+// equals both Run() and a streaming session's Finish() in every field, and
+// the pushed per-phase rankings equal the in-process session's, phase for
+// phase.
 TEST_F(ServerEquivalenceTest, PushWireResultsEqualInProcessRunAcrossMatrix) {
   auto client = Client::ConnectUnix(*socket_path_);
   ASSERT_TRUE(client.ok()) << client.status();
@@ -204,9 +174,13 @@ TEST_F(ServerEquivalenceTest, PushWireResultsEqualInProcessRunAcrossMatrix) {
     SCOPED_TRACE(config.label);
     const std::string id = "push-matrix-" + std::to_string(config_index++);
 
-    // In-process truth: the full streaming session, phase by phase.
+    // In-process truth, built from the SAME wire message the server will
+    // decode — the decode path is part of what's under test: the one-shot
+    // Run(), and the full streaming session, phase by phase.
     auto request = OpenRequestFromJson(OpenRequestToJson(id, config.spec));
     ASSERT_TRUE(request.ok()) << request.status();
+    auto run = seedb.Run(*request);
+    ASSERT_TRUE(run.ok()) << run.status();
     auto local = seedb.Open(*request);
     ASSERT_TRUE(local.ok()) << local.status();
     std::vector<core::ProgressUpdate> local_updates;
@@ -244,31 +218,25 @@ TEST_F(ServerEquivalenceTest, PushWireResultsEqualInProcessRunAcrossMatrix) {
       }
     }
 
-    // Final ranking: view set, order, utilities — bit-identical.
-    ASSERT_EQ(remote->top.size(), local_result->top_views.size());
-    for (size_t i = 0; i < remote->top.size(); ++i) {
-      EXPECT_EQ(remote->top[i].view_id,
-                local_result->top_views[i].view().Id())
-          << "rank " << i + 1;
-      EXPECT_EQ(remote->top[i].utility,
-                local_result->top_views[i].utility())
-          << "rank " << i + 1 << " utility must be bit-identical";
+    // Final result: every field, against both in-process paths.
+    {
+      SCOPED_TRACE("vs Run()");
+      ExpectResultMatches(*remote, *run);
     }
-    EXPECT_EQ(remote->profile.phases_executed,
-              local_result->profile.phases_executed);
-    EXPECT_EQ(remote->profile.table_scans,
-              local_result->profile.table_scans);
-    EXPECT_EQ(remote->profile.rows_scanned,
-              local_result->profile.rows_scanned);
+    {
+      SCOPED_TRACE("vs streaming session");
+      ExpectResultMatches(*remote, *local_result);
+    }
   }
 }
 
-// Streaming equivalence: the per-phase progress frames a wire session
-// yields carry the same provisional rankings the in-process session
-// produces, phase for phase.
+// Streaming equivalence: the per-phase progress frames a push session
+// yields, pulled one by one with Client::Next, carry the same provisional
+// rankings and CI bounds the in-process session produces, phase for phase.
 TEST_F(ServerEquivalenceTest, ProgressFramesMatchInProcessSession) {
   auto client = Client::ConnectUnix(*socket_path_);
   ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(client->Hello().ok());
   core::SeeDB seedb(engine_);
 
   OpenSpec spec;

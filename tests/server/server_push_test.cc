@@ -1,8 +1,9 @@
-// Protocol v2 serving tests: hello negotiation, server-driven push
-// sessions (no polling round-trips), the v1 golden back-compat path,
-// idle-session eviction via the timer wheel, and admission control under
-// both deterministic and 8-thread contended load. ASan/UBSan-clean — CI
-// runs the sanitizer matrix over this file.
+// Push serving tests: hello negotiation, server-driven push sessions (no
+// request per phase), connections without push (undriven sessions),
+// subscribers that disconnect mid-stream, idle-session eviction via the
+// timer wheel, and admission control under both deterministic and 8-thread
+// contended load. ASan/UBSan-clean — CI runs the sanitizer matrix over this
+// file.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "../test_util.h"
+#include "core/seedb.h"
 #include "data/synthetic.h"
 #include "db/engine.h"
 #include "server/client.h"
@@ -47,13 +49,13 @@ TEST(HelloTest, NegotiatesVersionAndPush) {
   EXPECT_EQ(v9.version, kProtocolVersion);
   EXPECT_TRUE(v9.push);
 
-  // v1 never gets push, even if requested.
+  // A version-1 hello never gets push, even if requested.
   Handshake v1 = negotiate("{\"op\":\"hello\",\"version\":1,"
                            "\"capabilities\":[\"push\"]}");
   EXPECT_EQ(v1.version, 1);
   EXPECT_FALSE(v1.push);
 
-  // No capabilities: v2 framing, but polling.
+  // No capabilities: v2 framing, but no push (sessions stay undriven).
   Handshake plain = negotiate("{\"op\":\"hello\",\"version\":2}");
   EXPECT_EQ(plain.version, 2);
   EXPECT_FALSE(plain.push);
@@ -112,64 +114,96 @@ class PushServerTest : public ::testing::Test {
     return spec;
   }
 
+  /// A raw unix-socket peer, for pinning the bytes on the wire.
+  class RawConn {
+   public:
+    explicit RawConn(const std::string& path)
+        : fd_(::socket(AF_UNIX, SOCK_STREAM, 0)) {
+      sockaddr_un addr{};
+      addr.sun_family = AF_UNIX;
+      std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+      connected_ =
+          fd_ >= 0 && ::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
+                                sizeof(addr)) == 0;
+    }
+    ~RawConn() {
+      if (fd_ >= 0) ::close(fd_);
+    }
+    RawConn(const RawConn&) = delete;
+    RawConn& operator=(const RawConn&) = delete;
+    bool connected() const { return connected_; }
+    bool Send(const std::string& lines) {
+      return ::send(fd_, lines.data(), lines.size(), 0) ==
+             static_cast<ssize_t>(lines.size());
+    }
+    /// The next line (without its newline); "" once the server closed.
+    std::string ReadLine() {
+      char chunk[65536];
+      size_t newline;
+      while ((newline = buffer_.find('\n')) == std::string::npos) {
+        ssize_t n = ::read(fd_, chunk, sizeof(chunk));
+        if (n <= 0) return "";
+        buffer_.append(chunk, static_cast<size_t>(n));
+      }
+      std::string line = buffer_.substr(0, newline);
+      buffer_.erase(0, newline + 1);
+      return line;
+    }
+
+   private:
+    int fd_;
+    bool connected_ = false;
+    std::string buffer_;
+  };
+
   db::Catalog catalog_;
   std::unique_ptr<db::Engine> engine_;
   std::unique_ptr<RecommendationServer> server_;
   std::string socket_path_;
 };
 
-// --- v1 golden back-compat: a client that never says hello ---
+// --- Push sessions ---
 
-TEST_F(PushServerTest, V1ClientWithoutHelloStillPolls) {
+// Replies and pushed frames share one connection, and clients tell them
+// apart by the "push" key alone. So the replies to open, status and finish
+// on a push connection carry none of the push markers.
+TEST_F(PushServerTest, RepliesCarryNoPushMarkers) {
   StartServer(ServerOptions{});
-  auto client = Client::ConnectUnix(socket_path_);
-  ASSERT_TRUE(client.ok());
-  ASSERT_FALSE(client->push_enabled());
-
-  ASSERT_TRUE(client->Open("legacy", LaserwaveSpec(3)).ok());
-  for (int i = 1; i <= 3; ++i) {
-    auto progress = client->Next("legacy");
-    ASSERT_TRUE(progress.ok()) << progress.status();
-    ASSERT_TRUE(progress->has_value());
-    EXPECT_EQ((**progress).phase, static_cast<size_t>(i));
+  RawConn raw(socket_path_);
+  ASSERT_TRUE(raw.connected());
+  ASSERT_TRUE(raw.Send(
+      "{\"op\":\"hello\",\"version\":2,\"capabilities\":[\"push\"]}\n"
+      "{\"op\":\"open\",\"id\":\"shape\",\"sql\":"
+      "\"SELECT * FROM sales WHERE product = 'Laserwave'\",\"phases\":2}\n"));
+  std::vector<std::string> lines;
+  while (lines.empty() ||
+         lines.back().find("\"drained\"") == std::string::npos) {
+    lines.push_back(raw.ReadLine());
+    ASSERT_FALSE(lines.back().empty()) << "server closed early";
   }
-  auto drained = client->Next("legacy");
-  ASSERT_TRUE(drained.ok());
-  EXPECT_FALSE(drained->has_value());
-  auto result = client->Finish("legacy");
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(result->top.size(), 2u);
+  ASSERT_TRUE(raw.Send("{\"op\":\"status\",\"id\":\"shape\"}\n"
+                       "{\"op\":\"finish\",\"id\":\"shape\"}\n"));
+  lines.push_back(raw.ReadLine());
+  lines.push_back(raw.ReadLine());
 
-  // The golden property: no hello, no pushes — the server never sent an
-  // unsolicited frame, and every progress update cost one round-trip.
-  ServerStats stats = server_->stats();
-  EXPECT_EQ(stats.push_frames_sent, 0u);
-  EXPECT_EQ(stats.requests, 6u);  // open + 4 next + finish
+  std::vector<std::string> reply_types;
+  size_t pushed = 0;
+  for (const std::string& line : lines) {
+    auto frame = ParseJson(line);
+    ASSERT_TRUE(frame.ok()) << line;
+    if (frame->GetBool("push")) {
+      ++pushed;
+      continue;
+    }
+    reply_types.push_back(frame->GetString("type"));
+    for (const char* marker : {"push", "seq", "ts_us"}) {
+      EXPECT_EQ(frame->Find(marker), nullptr) << marker << " in " << line;
+    }
+  }
+  EXPECT_EQ(reply_types,
+            (std::vector<std::string>{"hello", "opened", "status", "result"}));
+  EXPECT_EQ(pushed, 3u);  // 2 progress + drained
 }
-
-// The raw v1 wire shape is pinned byte-level: responses carry no "push",
-// "seq", or "ts_us" members, so pre-v2 clients never see unknown keys.
-TEST_F(PushServerTest, V1ResponsesCarryNoV2Markers) {
-  StartServer(ServerOptions{});
-  auto client = Client::ConnectUnix(socket_path_);
-  ASSERT_TRUE(client.ok());
-  std::vector<std::string> responses;
-  for (const char* request :
-       {"{\"op\":\"open\",\"id\":\"shape\",\"sql\":"
-        "\"SELECT * FROM sales WHERE product = 'Laserwave'\",\"phases\":2}",
-        "{\"op\":\"next\",\"id\":\"shape\"}", "{\"op\":\"status\"}"}) {
-    auto raw = client->CallRaw(request);
-    ASSERT_TRUE(raw.ok()) << request;
-    responses.push_back(*raw);
-  }
-  for (const std::string& response : responses) {
-    EXPECT_EQ(response.find("\"push\""), std::string::npos) << response;
-    EXPECT_EQ(response.find("\"seq\""), std::string::npos) << response;
-    EXPECT_EQ(response.find("\"ts_us\""), std::string::npos) << response;
-  }
-}
-
-// --- v2 push sessions ---
 
 TEST_F(PushServerTest, PushSessionStreamsWithoutPollingRoundTrips) {
   StartServer(ServerOptions{});
@@ -191,9 +225,9 @@ TEST_F(PushServerTest, PushSessionStreamsWithoutPollingRoundTrips) {
   EXPECT_EQ(result->top.size(), 2u);
   EXPECT_EQ(result->profile.phases_executed, 4u);
 
-  // THE regression pin for the busy-wait fix: a v2 session costs exactly
+  // THE regression pin for the busy-wait fix: a push session costs exactly
   // three request round-trips — hello, open, finish. Every progress frame
-  // arrived as a push; `next` never touched the wire.
+  // arrived as a push; no request was made per phase.
   ServerStats stats = server_->stats();
   EXPECT_EQ(stats.requests, 3u);
   EXPECT_GE(stats.push_frames_sent, 5u);  // 4 progress + drained
@@ -202,39 +236,22 @@ TEST_F(PushServerTest, PushSessionStreamsWithoutPollingRoundTrips) {
 TEST_F(PushServerTest, PushFramesCarrySequencedV2Markers) {
   StartServer(ServerOptions{});
   // Raw socket: pin the wire shape of the push stream itself.
-  int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, socket_path_.c_str(),
-               sizeof(addr.sun_path) - 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-  const std::string requests =
+  RawConn raw(socket_path_);
+  ASSERT_TRUE(raw.connected());
+  ASSERT_TRUE(raw.Send(
       "{\"op\":\"hello\",\"version\":2,\"capabilities\":[\"push\"]}\n"
       "{\"op\":\"open\",\"id\":\"wire\",\"sql\":"
-      "\"SELECT * FROM sales WHERE product = 'Laserwave'\",\"phases\":3}\n";
-  ASSERT_EQ(::send(fd, requests.data(), requests.size(), 0),
-            static_cast<ssize_t>(requests.size()));
+      "\"SELECT * FROM sales WHERE product = 'Laserwave'\",\"phases\":3}\n"));
 
   // Expect: hello ack, opened ack, then 3 progress pushes + drained push.
-  std::string buffer;
-  char chunk[65536];
-  while (std::count(buffer.begin(), buffer.end(), '\n') < 6) {
-    ssize_t n = ::read(fd, chunk, sizeof(chunk));
-    ASSERT_GT(n, 0) << "server closed early; got: " << buffer;
-    buffer.append(chunk, static_cast<size_t>(n));
-  }
   std::vector<JsonValue> frames;
-  size_t start = 0;
-  for (size_t end = buffer.find('\n'); end != std::string::npos;
-       end = buffer.find('\n', start)) {
-    auto frame = ParseJson(buffer.substr(start, end - start));
-    ASSERT_TRUE(frame.ok());
+  for (int i = 0; i < 6; ++i) {
+    const std::string line = raw.ReadLine();
+    ASSERT_FALSE(line.empty()) << "server closed early";
+    auto frame = ParseJson(line);
+    ASSERT_TRUE(frame.ok()) << line;
     frames.push_back(std::move(*frame));
-    start = end + 1;
   }
-  ASSERT_GE(frames.size(), 6u);
   EXPECT_EQ(frames[0].GetString("type"), "hello");
   EXPECT_FALSE(frames[0].GetBool("push"));
   EXPECT_EQ(frames[1].GetString("type"), "opened");
@@ -248,27 +265,6 @@ TEST_F(PushServerTest, PushFramesCarrySequencedV2Markers) {
     EXPECT_GT(frames[i].GetInt("ts_us"), 0) << "missing send stamp";
     EXPECT_EQ(frames[i].GetString("type"), i < 5 ? "progress" : "drained");
   }
-  ::close(fd);
-}
-
-TEST_F(PushServerTest, DeprecatedNextShimDrainsThePushQueue) {
-  StartServer(ServerOptions{});
-  auto client = Client::ConnectUnix(socket_path_);
-  ASSERT_TRUE(client.ok());
-  ASSERT_TRUE(client->Hello().ok());
-  auto session = client->OpenSession("shim", LaserwaveSpec(3));
-  ASSERT_TRUE(session.ok());
-  size_t phases = 0;
-  while (true) {
-    auto progress = session->Next();
-    ASSERT_TRUE(progress.ok()) << progress.status();
-    if (!progress->has_value()) break;
-    ++phases;
-  }
-  EXPECT_EQ(phases, 3u);
-  ASSERT_TRUE(session->Finish().ok());
-  // Still 3 round-trips: the shim consumed pushes, it did not poll.
-  EXPECT_EQ(server_->stats().requests, 3u);
 }
 
 TEST_F(PushServerTest, CancelAndResumeKeepStreamingOnAPushConnection) {
@@ -281,7 +277,7 @@ TEST_F(PushServerTest, CancelAndResumeKeepStreamingOnAPushConnection) {
   ASSERT_TRUE(session->Cancel().ok());
   // The stream drains (possibly after frames already in flight).
   while (true) {
-    auto progress = session->Next();
+    auto progress = client->Next("cr");
     ASSERT_TRUE(progress.ok()) << progress.status();
     if (!progress->has_value()) break;
   }
@@ -300,6 +296,125 @@ TEST_F(PushServerTest, CancelAndResumeKeepStreamingOnAPushConnection) {
   EXPECT_FALSE(result->profile.cancelled);
 }
 
+// --- Connections without push ---
+
+// Nothing drives a session opened without `hello`, so no frame for it will
+// ever arrive: Next() must refuse at once instead of blocking on the socket,
+// while `finish` still runs the session to the end.
+TEST_F(PushServerTest, HelloLessClientCannotPullFramesButFinishRunsToEnd) {
+  StartServer(ServerOptions{});
+  auto client = Client::ConnectUnix(socket_path_);
+  ASSERT_TRUE(client.ok());
+  ASSERT_FALSE(client->push_enabled());
+  ASSERT_TRUE(client->Open("undriven", LaserwaveSpec(3)).ok());
+
+  auto next = client->Next("undriven");
+  EXPECT_EQ(next.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(client->OpenSession("handle", LaserwaveSpec(3)).status().code(),
+            StatusCode::kFailedPrecondition);
+
+  auto result = client->Finish("undriven");
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->top.size(), 2u);
+  EXPECT_EQ(result->profile.phases_executed, 3u);
+  EXPECT_FALSE(result->profile.cancelled);
+  // open + finish only: Next() sent nothing, and nothing was pushed.
+  EXPECT_EQ(server_->stats().requests, 2u);
+  EXPECT_EQ(server_->stats().push_frames_sent, 0u);
+}
+
+// --- Disconnect mid-stream ---
+
+// A subscriber that closes its socket mid-stream: the server stops scanning
+// on its behalf (the session is cancelled, not run into a dead socket),
+// gives its admission slot back, and keeps the session resumable — a second
+// connection rebinds the stream, drains it, and finishes with the ranking
+// of an uninterrupted run.
+TEST_F(PushServerTest, DisconnectedSubscriberIsCancelledAndResumableElsewhere) {
+  {
+    auto dataset = ::seedb::data::GenerateSynthetic(
+        ::seedb::data::SyntheticSpec::Simple(200000, 3, 2, 8, 7));
+    ASSERT_TRUE(dataset.ok()) << dataset.status();
+    ASSERT_TRUE(catalog_.AddTable("big", std::move(dataset->table)).ok());
+  }
+  ServerOptions options;
+  options.max_inflight_phases = 1;
+  StartServer(options);
+  // Many short phases keep the session running long after the subscriber
+  // is gone; one worker and no pruning make the resumed run bit-identical
+  // to an uninterrupted one.
+  OpenSpec spec;
+  spec.table = "big";
+  spec.k = 2;
+  spec.phases = 400;
+  spec.pruner = "none";
+  spec.parallelism = 1;
+
+  {
+    RawConn raw(socket_path_);
+    ASSERT_TRUE(raw.connected());
+    ASSERT_TRUE(raw.Send(
+        "{\"op\":\"hello\",\"version\":2,\"capabilities\":[\"push\"]}\n" +
+        OpenRequestToJson("orphan", spec).Dump() + "\n"));
+    for (const char* type : {"hello", "opened", "progress"}) {
+      auto frame = ParseJson(raw.ReadLine());
+      ASSERT_TRUE(frame.ok());
+      ASSERT_EQ(frame->GetString("type"), type) << frame->Dump();
+    }
+  }  // closes the socket after the first pushed frame
+
+  auto client = Client::ConnectUnix(socket_path_);
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(client->Hello().ok());
+
+  // 1. The server notices the dead subscriber and cancels the session.
+  Result<RemoteStatus> status = Status::Internal("never polled");
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (std::chrono::steady_clock::now() < deadline) {
+    status = client->GetStatus("orphan");
+    ASSERT_TRUE(status.ok()) << status.status();
+    if (status->cancelled || status->phases_run == spec.phases) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_TRUE(status->cancelled)
+      << "ran " << status->phases_run << " phases into a closed socket";
+  EXPECT_LT(status->phases_run, spec.phases);
+
+  // 2. Its admission slot is free again: with max_inflight_phases = 1 a new
+  // open is admitted.
+  auto probe = client->OpenSession("probe", LaserwaveSpec(1));
+  ASSERT_TRUE(probe.ok()) << probe.status();
+  ASSERT_TRUE(probe->Await().ok());
+
+  // 3. Resume rebinds the stream to this connection, which drains it.
+  ASSERT_TRUE(client->Resume("orphan").ok());
+  size_t resumed_phases = 0;
+  while (true) {
+    auto progress = client->Next("orphan");
+    ASSERT_TRUE(progress.ok()) << progress.status();
+    if (!progress->has_value()) break;
+    ++resumed_phases;
+  }
+  EXPECT_EQ(resumed_phases + status->phases_run, spec.phases);
+  auto remote = client->Finish("orphan");
+  ASSERT_TRUE(remote.ok()) << remote.status();
+
+  auto request = OpenRequestFromJson(OpenRequestToJson("orphan", spec));
+  ASSERT_TRUE(request.ok()) << request.status();
+  auto truth = core::SeeDB(engine_.get()).Run(*request);
+  ASSERT_TRUE(truth.ok()) << truth.status();
+  EXPECT_FALSE(remote->profile.cancelled);
+  EXPECT_EQ(remote->profile.phases_executed, spec.phases);
+  EXPECT_EQ(remote->profile.rows_scanned, truth->profile.rows_scanned);
+  ASSERT_EQ(remote->top.size(), truth->top_views.size());
+  for (size_t i = 0; i < remote->top.size(); ++i) {
+    EXPECT_EQ(remote->top[i].view_id, truth->top_views[i].view().Id());
+    EXPECT_EQ(remote->top[i].utility, truth->top_views[i].utility())
+        << "rank " << i + 1 << " utility must be bit-identical";
+  }
+}
+
 // --- Eviction ---
 
 TEST_F(PushServerTest, IdleSessionsAreEvictedAndMemoryAccountedToZero) {
@@ -308,11 +423,19 @@ TEST_F(PushServerTest, IdleSessionsAreEvictedAndMemoryAccountedToZero) {
   StartServer(options);
   auto client = Client::ConnectUnix(socket_path_);
   ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(client->Hello().ok());
+  auto undriven = Client::ConnectUnix(socket_path_);
+  ASSERT_TRUE(undriven.ok());
 
-  // Two abandoned v1 sessions: opened, partially driven, never finished.
+  // Two abandoned sessions, never finished: one the server drove to the end
+  // of its stream, one opened without push and so never driven.
   ASSERT_TRUE(client->Open("idle-a", LaserwaveSpec()).ok());
-  ASSERT_TRUE(client->Open("idle-b", LaserwaveSpec()).ok());
-  ASSERT_TRUE(client->Next("idle-a").ok());
+  while (true) {
+    auto progress = client->Next("idle-a");
+    ASSERT_TRUE(progress.ok()) << progress.status();
+    if (!progress->has_value()) break;
+  }
+  ASSERT_TRUE(undriven->Open("idle-b", LaserwaveSpec()).ok());
   auto before = client->GetStatus();
   ASSERT_TRUE(before.ok());
   EXPECT_EQ(before->sessions, 2u);
@@ -328,9 +451,10 @@ TEST_F(PushServerTest, IdleSessionsAreEvictedAndMemoryAccountedToZero) {
 
   // Evicted ids answer not_found on every op.
   for (const char* id : {"idle-a", "idle-b"}) {
-    auto next = client->Next(id);
-    EXPECT_FALSE(next.ok());
-    EXPECT_EQ(next.status().code(), StatusCode::kNotFound) << id;
+    EXPECT_EQ(client->GetStatus(id).status().code(), StatusCode::kNotFound)
+        << id;
+    EXPECT_EQ(client->Cancel(id).code(), StatusCode::kNotFound) << id;
+    EXPECT_EQ(client->Resume(id).code(), StatusCode::kNotFound) << id;
     auto finish = client->Finish(id);
     EXPECT_EQ(finish.status().code(), StatusCode::kNotFound) << id;
   }
@@ -362,7 +486,7 @@ TEST_F(PushServerTest, ActiveSessionsSurviveTheIdleTimeout) {
   ASSERT_TRUE(client->Finish("busy-bee").ok());
 }
 
-// Raw-socket pin for the eviction fix: on a v2 connection an evicted
+// Raw-socket pin for the eviction fix: on a push connection an evicted
 // session's stream ends with EXACTLY ONE `drained`, and no frame for that
 // id follows it. The table is big enough (and parallelism 1) that a single
 // phase can outlive the idle timeout, in which case eviction lands
@@ -458,8 +582,8 @@ TEST_F(PushServerTest, SaturatedOpensShedBusyWithoutRegistryCorruption) {
   auto client = Client::ConnectUnix(socket_path_);
   ASSERT_TRUE(client.ok());
 
-  // Fill the two admission slots with v1 sessions (in flight until
-  // finished or evicted).
+  // Fill the two admission slots with sessions opened without push: nothing
+  // drives them, so they stay in flight until finished or evicted.
   ASSERT_TRUE(client->Open("slot-a", LaserwaveSpec()).ok());
   ASSERT_TRUE(client->Open("slot-b", LaserwaveSpec()).ok());
 
@@ -479,8 +603,9 @@ TEST_F(PushServerTest, SaturatedOpensShedBusyWithoutRegistryCorruption) {
   // The registry is uncorrupted: both admitted sessions still work, the
   // shed id does not exist.
   EXPECT_EQ(server_->open_sessions(), 2u);
-  EXPECT_EQ(client->Next("shed").status().code(), StatusCode::kNotFound);
-  ASSERT_TRUE(client->Next("slot-a").ok());
+  EXPECT_EQ(client->GetStatus("shed").status().code(),
+            StatusCode::kNotFound);
+  ASSERT_TRUE(client->GetStatus("slot-a").ok());
 
   // Finishing one releases a slot; the retried open is admitted.
   ASSERT_TRUE(client->Finish("slot-a").ok());
@@ -513,7 +638,7 @@ TEST_F(PushServerTest, ShedOpenSurfacesRetryAfterHintOnClientStatus) {
       << shed.message();
 
   // The hint is per-response: the next successful call clears it.
-  ASSERT_TRUE(client->Next("holder").ok());
+  ASSERT_TRUE(client->GetStatus("holder").ok());
   EXPECT_EQ(client->last_retry_after_ms(), 0);
   ASSERT_TRUE(client->Finish("holder").ok());
 }
@@ -525,7 +650,7 @@ TEST_F(PushServerTest, CompletedPushSessionsReleaseAdmissionSlots) {
   auto client = Client::ConnectUnix(socket_path_);
   ASSERT_TRUE(client.ok());
   ASSERT_TRUE(client->Hello().ok());
-  // A v2 session leaves the in-flight set once its stream drains — even
+  // A push session leaves the in-flight set once its stream drains — even
   // before finish — so back-to-back Await loops never trip the limit.
   for (int i = 0; i < 3; ++i) {
     auto session =
@@ -555,8 +680,8 @@ TEST_F(PushServerTest, AdmissionUnderEightThreadStress) {
     }
     Client client = std::move(*client_or);
     if (t % 2 == 0) {
-      // Half the threads negotiate push; the server must shed/admit both
-      // generations with one counter.
+      // Half the threads negotiate push; the server must shed/admit driven
+      // and undriven sessions with one counter.
       if (Status s = client.Hello(); !s.ok()) {
         failures[t] = "hello: " + s.ToString();
         return;
@@ -571,15 +696,11 @@ TEST_F(PushServerTest, AdmissionUnderEightThreadStress) {
           "adm-" + std::to_string(t) + "-" + std::to_string(i);
       Status opened = client.Open(id, spec);
       if (opened.code() == StatusCode::kUnavailable) {
-        // Shed: legal, and the id must NOT have been registered. The probe
-        // only runs on polling clients — on a push connection Next() would
-        // wait on frames the server (correctly) never sends for this id.
+        // Shed: legal, and the id must NOT have been registered.
         shed.fetch_add(1);
-        if (!client.push_enabled()) {
-          auto probe = client.Next(id);
-          if (probe.status().code() != StatusCode::kNotFound) {
-            failures[t] = "shed id registered: " + probe.status().ToString();
-          }
+        auto probe = client.GetStatus(id);
+        if (probe.status().code() != StatusCode::kNotFound) {
+          failures[t] = "shed id registered: " + probe.status().ToString();
         }
         continue;
       }
@@ -588,7 +709,9 @@ TEST_F(PushServerTest, AdmissionUnderEightThreadStress) {
         break;
       }
       admitted.fetch_add(1);
-      while (true) {
+      // A driven session's stream is drained first; `finish` runs an
+      // undriven one to the end.
+      while (client.push_enabled()) {
         auto progress = client.Next(id);
         if (!progress.ok()) {
           failures[t] = "next: " + progress.status().ToString();

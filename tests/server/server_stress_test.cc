@@ -1,10 +1,10 @@
-// Concurrency stress: 8 client threads interleaving open / next / cancel /
-// resume / finish against ONE server over ONE engine — private sessions and
-// deliberately contended shared ones. Must be ASan/UBSan-clean (CI runs the
-// sanitizer matrix), every response must be a protocol-legal outcome, and
-// engine stat accounting must stay EXACT per session: a session that ran to
-// completion reports exactly 1 table scan and exactly the table's row count
-// no matter how many sessions overlapped it.
+// Concurrency stress: 8 push clients interleaving open / pushed-frame reads /
+// cancel / resume / finish against ONE server over ONE engine — private
+// sessions and deliberately contended shared ones. Must be ASan/UBSan-clean
+// (CI runs the sanitizer matrix), every response must be a protocol-legal
+// outcome, and engine stat accounting must stay EXACT per session: a
+// session that ran to completion reports exactly 1 table scan and exactly
+// the table's row count no matter how many sessions overlapped it.
 
 #include <gtest/gtest.h>
 
@@ -99,11 +99,24 @@ TEST_F(ServerStressTest, EightThreadsInterleavedOpsStayCoherent) {
       return;
     }
     Client client = std::move(*client_or);
+    if (Status hello = client.Hello(); !hello.ok()) {
+      fail("hello", hello);
+      return;
+    }
 
     OpenSpec spec;
     spec.sql = "SELECT * FROM synth WHERE dim0 = 'dim0_v1'";
     spec.k = 2;
     spec.phases = 4;
+
+    // Reads the session's pushed frames up to its `drained` marker.
+    auto drain = [&client](const std::string& id) {
+      while (true) {
+        auto progress = client.Next(id);
+        if (!progress.ok()) return progress.status();
+        if (!progress->has_value()) return Status::OK();
+      }
+    };
 
     for (int i = 0; i < kIterationsPerThread && failures[t].empty(); ++i) {
       const int scenario = static_cast<int>(rng() % 5);
@@ -159,13 +172,17 @@ TEST_F(ServerStressTest, EightThreadsInterleavedOpsStayCoherent) {
           }
           Status cancelled = client.Cancel(id);
           if (!cancelled.ok()) fail("cancel", cancelled);
-          auto drained = client.Next(id);
-          if (!drained.ok()) {
-            fail("next-after-cancel", drained.status());
+          // Frames pushed before the cancel landed may still be queued;
+          // after them the stream must end.
+          if (Status s = drain(id); !s.ok()) {
+            fail("next-after-cancel", s);
             return;
           }
-          if (drained->has_value()) {
-            fail("drain", Status::Internal("progress after cancel"));
+          auto after = client.GetStatus(id);
+          if (!after.ok()) {
+            fail("status-after-cancel", after.status());
+          } else if (!after->cancelled || !after->done) {
+            fail("drain", Status::Internal("session still live after cancel"));
           }
           auto result = client.Finish(id);
           if (!result.ok()) fail("finish-cancelled", result.status());
@@ -178,17 +195,17 @@ TEST_F(ServerStressTest, EightThreadsInterleavedOpsStayCoherent) {
             return;
           }
           if (Status s = client.Cancel(id); !s.ok()) fail("cancel", s);
+          if (Status s = drain(id); !s.ok()) {
+            fail("next-after-cancel", s);
+            return;
+          }
           if (Status s = client.Resume(id); !s.ok()) {
             fail("resume", s);
             break;
           }
-          while (true) {
-            auto progress = client.Next(id);
-            if (!progress.ok()) {
-              fail("next-resumed", progress.status());
-              return;
-            }
-            if (!progress->has_value()) break;
+          if (Status s = drain(id); !s.ok()) {
+            fail("next-resumed", s);
+            return;
           }
           auto result = client.Finish(id);
           if (!result.ok()) {
@@ -210,15 +227,18 @@ TEST_F(ServerStressTest, EightThreadsInterleavedOpsStayCoherent) {
           break;
         }
         case 3: {  // contended ops on a SHARED session id
+          // The shared session's stream belongs to whichever connection
+          // opened (or last resumed) it, so no frames are read here — only
+          // requests, which every connection may send for any id.
           const std::string shared = "shared-" + std::to_string(rng() % 3);
           Status opened = client.Open(shared, spec);
           if (!IsLegalContendedOutcome(opened)) {
             fail("shared-open", opened);
             break;
           }
-          auto progress = client.Next(shared);
-          if (!IsLegalContendedOutcome(progress.status())) {
-            fail("shared-next", progress.status());
+          auto probed = client.GetStatus(shared);
+          if (!IsLegalContendedOutcome(probed.status())) {
+            fail("shared-status", probed.status());
             break;
           }
           if (rng() % 2 == 0) {

@@ -17,11 +17,11 @@ Emits GitHub Actions `::warning::` annotations so the result is visible on
 the job even when the calling step is non-blocking.
 
 `--server-old/--server-new` additionally diff BENCH_server.json artifacts
-(the serving-layer bench: sessions/sec and p50/p99 `next` latency per
-(transport, clients, phases) configuration). Server numbers ride on socket
-round-trips, whose shared-runner variance is even higher than phase
-timings, so they are ALWAYS advisory `::warning::` only — they never flip
-the exit code.
+(the serving-layer bench: sessions/sec and the p50/p99 gap between pushed
+progress frames per (transport, clients, phases) configuration). Server
+numbers ride on the socket, whose shared-runner variance is even higher
+than phase timings, so they are ALWAYS advisory `::warning::` only — they
+never flip the exit code.
 
 `--vectorized-old/--vectorized-new` additionally diff BENCH_vectorized.json
 artifacts (per-kernel throughput and the fused-plan wall clock of the dense
@@ -56,7 +56,7 @@ def load_runs(path):
 
 
 def compare_server_sweep(old_doc, new_doc, threshold):
-    """Advisory diff of the protocol-v2 connection sweep (64/256/1k push
+    """Advisory diff of the push connection sweep (64/256/1k push
     sessions on one epoll loop): warn when p99 frame-delivery latency or
     session throughput regressed past the threshold. Artifacts written
     before the event-loop PR carry no "sweep" key and are skipped."""
@@ -180,9 +180,13 @@ def compare_server_metrics(old_doc, new_doc, threshold):
 
 def compare_server(old_path, new_path, threshold):
     """Advisory diff of BENCH_server.json artifacts: warn when throughput
-    (sessions/sec) drops, p99 `next` latency grows past the threshold, or
-    the v2 connection sweep's frame-delivery latency regressed.
-    Returns the number of advisory warnings; never fails the gate."""
+    (sessions/sec) drops, the p99 gap between pushed progress frames grows
+    past the threshold, or the connection sweep's frame-delivery latency
+    regressed. Artifacts written while the per-client runs still polled
+    carry `next_p99_ms` instead of `frame_gap_p99_ms`; their latency is a
+    different quantity, so it is reported as a schema change and not
+    compared. Returns the number of advisory warnings; never fails the
+    gate."""
     def load(path):
         with open(path) as f:
             return json.load(f)
@@ -204,14 +208,21 @@ def compare_server(old_path, new_path, threshold):
         old = old_runs.get(key)
         if old is None:
             print(f"{label:>28} {'-':>9} {new.get('sessions_per_sec', 0):>9.1f}"
-                  f" {'-':>9} {new.get('next_p99_ms', 0):>9.3f}  (new config)")
+                  f" {'-':>9} {new.get('frame_gap_p99_ms', 0):>9.3f}"
+                  f"  (new config)")
             continue
         old_sps = old.get("sessions_per_sec", 0)
         new_sps = new.get("sessions_per_sec", 0)
-        old_p99 = old.get("next_p99_ms", 0)
-        new_p99 = new.get("next_p99_ms", 0)
+        old_p99 = old.get("frame_gap_p99_ms", 0)
+        new_p99 = new.get("frame_gap_p99_ms", 0)
+        old_p99_text = f"{old_p99:>9.3f}" if "frame_gap_p99_ms" in old \
+            else f"{'-':>9}"
         print(f"{label:>28} {old_sps:>9.1f} {new_sps:>9.1f} "
-              f"{old_p99:>9.3f} {new_p99:>9.3f}")
+              f"{old_p99_text} {new_p99:>9.3f}")
+        if "frame_gap_p99_ms" not in old and "next_p99_ms" in old:
+            print(f"{'':>28} schema changed, not compared: the old artifact "
+                  f"has next_p99_ms (polling round-trip), the new one "
+                  f"frame_gap_p99_ms (gap between pushed frames)")
         if old_sps > 0 and (old_sps - new_sps) / old_sps > threshold:
             warnings += 1
             print(f"::warning::server throughput regression (advisory): "
@@ -219,7 +230,7 @@ def compare_server(old_path, new_path, threshold):
                   f"(threshold {threshold:.0%})")
         if old_p99 > 0 and (new_p99 - old_p99) / old_p99 > threshold:
             warnings += 1
-            print(f"::warning::server p99 next-latency regression (advisory): "
+            print(f"::warning::server p99 frame-gap regression (advisory): "
                   f"{label} went {old_p99:.3f}ms -> {new_p99:.3f}ms "
                   f"(threshold {threshold:.0%})")
     return warnings

@@ -357,9 +357,8 @@ class Cli {
     }
     SEEDB_RETURN_IF_ERROR(client.status());
     remote_.emplace(std::move(*client));
-    // Negotiate protocol v2: the server then pushes progress frames and the
-    // drive loop below consumes them without polling round-trips. An old
-    // server fails the hello and the client silently stays on v1.
+    // Negotiate push: the server then drives every session opened here and
+    // the drive loop below consumes the frames it pushes.
     SEEDB_RETURN_IF_ERROR(remote_->Hello());
     SEEDB_ASSIGN_OR_RETURN(server::RemoteStatus status,
                            remote_->GetStatus());
@@ -367,7 +366,7 @@ class Cli {
                 "queries now run remotely — \\disconnect to go back\n",
                 target.c_str(), status.sessions,
                 remote_->handshake().version,
-                remote_->push_enabled() ? ", push" : ", polling");
+                remote_->push_enabled() ? ", push" : "");
     if (status.cache_enabled) {
       std::printf("server result cache: %llu hits, %llu misses, %llu bytes, "
                   "%llu evictions\n",
@@ -501,10 +500,9 @@ class Cli {
 
   /// The streaming loop of one remote query: one printed line per progress
   /// frame, with the armed \cancel applied. Finishing (and thus releasing)
-  /// the session stays with the caller. On a protocol-v2 connection
-  /// Next() consumes server-pushed frames — each loop turn pops a frame
-  /// that already arrived (or blocks for the next push); no `next`
-  /// requests go over the wire.
+  /// the session stays with the caller. Next() consumes server-pushed
+  /// frames — each loop turn pops a frame that already arrived (or blocks
+  /// for the next push); no request goes over the wire.
   Status DriveRemoteSession(const std::string& id) {
     const size_t cancel_after = cancel_after_phases_;
     cancel_after_phases_ = 0;  // one-shot
