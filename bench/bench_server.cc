@@ -8,8 +8,9 @@
 // SeeDB was built as middleware that clients query interactively (§5); the
 // question for the serving loop is what the wire + registry add on top of
 // the engine: how many full hello/open -> pushed frames -> finish sessions
-// per second one server sustains, how long a client waits from one pushed
-// frame to the next at p50/p99 while N clients hammer the same Engine, and
+// per second one server sustains, how far apart the server sends one
+// session's consecutive progress frames (p50/p99 of the gap between their
+// ts_us stamps) while N clients hammer the same Engine, and
 // whether push-frame delivery stays flat as connections scale past what
 // thread-per-connection could hold. Emits BENCH_server.json so CI tracks the
 // trajectory (advisory diff in tools/perf_gate.py).
@@ -479,8 +480,10 @@ void RunExperiment() {
       .Key("runs").BeginArray();
 
   for (size_t clients : {1, 2, 4, 8}) {
-    // Per client: the wait from the open ack (or the previous progress
-    // frame) to the next pushed progress frame.
+    // Per client: the gap between the server's send stamps of consecutive
+    // progress frames of one session. Stamps, not client receive times:
+    // the server pushes ahead of the reader, so most frames are already
+    // queued client-side when Next() asks for them.
     std::vector<std::vector<double>> gap_seconds(clients);
     std::atomic<size_t> failures{0};
     Stopwatch wall;
@@ -500,15 +503,20 @@ void RunExperiment() {
             failures.fetch_add(1);
             return;
           }
+          int64_t previous_sent_us = 0;
           while (true) {
-            Stopwatch gap_timer;
             auto progress = client->Next(id);
             if (!progress.ok()) {
               failures.fetch_add(1);
               return;
             }
             if (!progress->has_value()) break;
-            gap_seconds[c].push_back(gap_timer.ElapsedSeconds());
+            const int64_t sent_us = (*progress)->sent_us;
+            if (previous_sent_us > 0) {
+              gap_seconds[c].push_back(
+                  static_cast<double>(sent_us - previous_sent_us) * 1e-6);
+            }
+            previous_sent_us = sent_us;
           }
           if (!client->Finish(id).ok()) {
             failures.fetch_add(1);
@@ -549,8 +557,9 @@ void RunExperiment() {
   srv.Stop();
 
   std::printf("\nExpected shape: p50 frame gap ~= one phase of the fused "
-              "scan plus one push hop; sessions/sec grows with "
-              "clients while the engine has idle cores, then flattens — the "
+              "scan plus the worker-pool hop to the next; sessions/sec "
+              "grows with clients while the engine has idle cores, then "
+              "flattens — the "
               "registry itself never serializes distinct sessions.\n");
 
   RunConnectionSweep(&json);

@@ -166,11 +166,10 @@ Result<JsonValue> Client::Call(const JsonValue& request) {
   }
 }
 
-Status Client::Hello(int version, bool request_push) {
-  std::vector<std::string> capabilities;
-  if (request_push) capabilities.push_back(kCapPush);
-  SEEDB_ASSIGN_OR_RETURN(JsonValue response,
-                         Call(HelloRequestToJson(version, capabilities)));
+Status Client::Hello() {
+  SEEDB_ASSIGN_OR_RETURN(
+      JsonValue response,
+      Call(HelloRequestToJson(kProtocolVersion, {std::string(kCapPush)})));
   SEEDB_RETURN_IF_ERROR(CheckOk(response));
   SEEDB_ASSIGN_OR_RETURN(handshake_, HandshakeFromJson(response));
   return Status::OK();

@@ -63,9 +63,9 @@ class Client {
   Client& operator=(Client&& other) noexcept;
   ~Client();
 
-  /// Negotiates the protocol version and capabilities (push on by
-  /// default). A server that refuses the handshake returns its error.
-  Status Hello(int version = kProtocolVersion, bool request_push = true);
+  /// Negotiates kProtocolVersion with the `push` capability. A server that
+  /// refuses the handshake returns its error.
+  Status Hello();
   const Handshake& handshake() const { return handshake_; }
   /// True once Hello() negotiated server-driven push frames.
   bool push_enabled() const { return handshake_.push; }

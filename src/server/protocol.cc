@@ -378,6 +378,7 @@ Result<RemoteProgress> ProgressFromJson(const JsonValue& frame) {
   p.memory_bytes = static_cast<uint64_t>(frame.GetInt("memory_bytes"));
   p.early_stopped = frame.GetBool("early_stopped");
   p.cancelled = frame.GetBool("cancelled");
+  p.sent_us = frame.GetInt("ts_us");
   if (const JsonValue* top = frame.Find("top");
       top != nullptr && top->is_array()) {
     const double inf = std::numeric_limits<double>::infinity();

@@ -18,7 +18,8 @@
 // SERVER — every completed phase's ProgressUpdate arrives as an unsolicited
 // push frame the moment it completes. Push frames are distinguished from
 // responses by "push":true and carry a per-session "seq" plus the server's
-// steady-clock send stamp "ts_us" (frame-delivery latency measurement):
+// steady-clock send stamp "ts_us" (RemoteProgress::sent_us; bench_server
+// measures frame-delivery latency and the gap between frames with it):
 //
 //   {"ok":true,"id":"s1","type":"progress","push":true,"seq":1,...}
 //   {"ok":true,"id":"s1","type":"drained","push":true,"seq":4}
@@ -193,6 +194,8 @@ struct RemoteProgress {
   bool early_stopped = false;
   bool cancelled = false;
   std::vector<RemoteView> top;
+  /// The server's steady-clock send stamp ("ts_us"), 0 when absent.
+  int64_t sent_us = 0;
 };
 
 /// One final recommendation of a `result` frame.

@@ -11,6 +11,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -216,12 +217,19 @@ TEST_F(PushServerTest, PushSessionStreamsWithoutPollingRoundTrips) {
   auto session = client->OpenSession("pushed", LaserwaveSpec(4));
   ASSERT_TRUE(session.ok()) << session.status();
   std::vector<size_t> phases;
-  session->OnProgress(
-      [&](const RemoteProgress& p) { phases.push_back(p.phase); });
+  std::vector<int64_t> sent_us;
+  session->OnProgress([&](const RemoteProgress& p) {
+    phases.push_back(p.phase);
+    sent_us.push_back(p.sent_us);
+  });
   auto result = session->Await();
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_TRUE(session->last_error().ok());
   EXPECT_EQ(phases, (std::vector<size_t>{1, 2, 3, 4}));
+  // Each frame carries the server's send stamp, in send order.
+  ASSERT_EQ(sent_us.size(), 4u);
+  EXPECT_GT(sent_us.front(), 0);
+  EXPECT_TRUE(std::is_sorted(sent_us.begin(), sent_us.end()));
   EXPECT_EQ(result->top.size(), 2u);
   EXPECT_EQ(result->profile.phases_executed, 4u);
 
@@ -333,20 +341,27 @@ TEST_F(PushServerTest, HelloLessClientCannotPullFramesButFinishRunsToEnd) {
 TEST_F(PushServerTest, DisconnectedSubscriberIsCancelledAndResumableElsewhere) {
   {
     auto dataset = ::seedb::data::GenerateSynthetic(
-        ::seedb::data::SyntheticSpec::Simple(200000, 3, 2, 8, 7));
+        ::seedb::data::SyntheticSpec::Simple(100000, 3, 2, 8, 7));
     ASSERT_TRUE(dataset.ok()) << dataset.status();
     ASSERT_TRUE(catalog_.AddTable("big", std::move(dataset->table)).ok());
   }
   ServerOptions options;
   options.max_inflight_phases = 1;
   StartServer(options);
-  // Many short phases keep the session running long after the subscriber
-  // is gone; one worker and no pruning make the resumed run bit-identical
-  // to an uninterrupted one.
+  // The server only learns of the hangup when its event loop next runs,
+  // while the phases keep running on a worker meanwhile. So the run left
+  // after the first frame must clearly outlast that: each phase costs about
+  // 0.1 ms of fixed work (its progress update and frame) however few rows
+  // it scans, and 2000 of them leave about a quarter of a second (4-core
+  // x86 host, release build; sanitizers slow both sides alike) against the
+  // loop's sub-millisecond reaction, so the loop thread can be descheduled
+  // for a hundred scheduler slices on a loaded runner and still see the
+  // hangup first. One worker and no pruning make the resumed run
+  // bit-identical to an uninterrupted one.
   OpenSpec spec;
   spec.table = "big";
   spec.k = 2;
-  spec.phases = 400;
+  spec.phases = 2000;
   spec.pruner = "none";
   spec.parallelism = 1;
 
