@@ -102,11 +102,12 @@ void RunExperiment() {
   for (bool all_on : {false, true}) {
     for (core::ExecutionStrategy strategy :
          {core::ExecutionStrategy::kPerQuery,
-          core::ExecutionStrategy::kSharedScan}) {
+          core::ExecutionStrategy::kPhasedSharedScan}) {
       core::SeeDBOptions options;
       options.optimizer = all_on ? core::OptimizerOptions::All()
                                  : core::OptimizerOptions::Baseline();
       options.strategy = strategy;
+      options.online_pruning.num_phases = 1;
       options.parallelism = 4;
       core::RecommendationSet result;
       double ms = bench::MedianSeconds(

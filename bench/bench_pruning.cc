@@ -140,7 +140,8 @@ void RunOnlinePruningExperiment() {
   // pruner), so recall isolates what online pruning changes.
   core::SeeDBOptions truth_options;
   truth_options.k = 5;
-  truth_options.strategy = core::ExecutionStrategy::kSharedScan;
+  truth_options.strategy = core::ExecutionStrategy::kPhasedSharedScan;
+  truth_options.online_pruning.num_phases = 1;
   auto truth =
       seedb_engine.Recommend("t", env.selection, truth_options).ValueOrDie();
   auto truth_ids = bench::TopViewIds(truth);

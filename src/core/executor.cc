@@ -17,8 +17,6 @@ const char* ExecutionStrategyToString(ExecutionStrategy strategy) {
   switch (strategy) {
     case ExecutionStrategy::kPerQuery:
       return "per-query";
-    case ExecutionStrategy::kSharedScan:
-      return "shared-scan";
     case ExecutionStrategy::kPhasedSharedScan:
       return "phased-shared-scan";
   }
@@ -58,11 +56,18 @@ namespace {
 
 db::SharedScanOptions MakeScanOptions(const ExecutorOptions& options) {
   db::SharedScanOptions scan;
-  scan.num_threads = options.parallelism;
   scan.morsel_rows = options.morsel_rows;
-  scan.cancel = options.cancel;
-  scan.enable_simd = options.enable_simd;
   scan.trace = options.trace;
+  if (options.strategy == ExecutionStrategy::kPerQuery) {
+    // The paper's baseline: every planned query is its own single-threaded
+    // pass, never answered from the result cache. Cancellation is checked
+    // between passes, so a begun pass runs to the end.
+    scan.num_threads = 1;
+    scan.use_result_cache = false;
+    return scan;
+  }
+  scan.num_threads = options.parallelism;
+  scan.cancel = options.cancel;
   // The MAB pruner halves by per-phase estimate ORDER, and cache adoption
   // makes adopted views' estimates final from phase 1 — a warm MAB run
   // would halve different views than the cold run that seeded it. Bypass
@@ -79,35 +84,18 @@ bool CancelRequested(const ExecutorOptions& options) {
          options.cancel->load(std::memory_order_relaxed);
 }
 
-std::vector<db::GroupingSetsQuery> PlanQueries(const ExecutionPlan& plan) {
-  std::vector<db::GroupingSetsQuery> queries;
-  queries.reserve(plan.queries.size());
-  for (const PlannedQuery& pq : plan.queries) queries.push_back(pq.query);
-  return queries;
-}
-
-// The one-shot fused scan (kSharedScan) is the phased machinery with a
-// single phase and no pruner — one code path handles cancellation,
-// partial-result materialization and reporting for both fused strategies.
-ExecutorOptions SinglePhaseOptions(const ExecutorOptions& options) {
-  ExecutorOptions run = options;
-  run.online_pruning.num_phases = 1;
-  run.online_pruning.pruner = OnlinePruner::kNone;
-  run.online_pruning.early_stop_stable_phases = 0;
-  return run;
-}
-
 }  // namespace
 
-PhasedPlanExecution::PhasedPlanExecution(const ExecutionPlan* plan,
+PhasedPlanExecution::PhasedPlanExecution(db::Engine* engine,
+                                         const ExecutionPlan* plan,
                                          DistanceMetric metric,
-                                         ExecutorOptions options,
-                                         db::SharedScanSession session)
-    : plan_(plan),
+                                         ExecutorOptions options)
+    : engine_(engine),
+      plan_(plan),
       metric_(metric),
       options_(std::move(options)),
-      session_(std::move(session)),
       live_slots_(plan->queries.size(), 0),
+      processor_(metric),
       pruner_(0, options_.online_pruning) {
   // Dense view index across the plan, plus the wiring from each view to the
   // planned queries carrying one of its halves. A query is retired from the
@@ -126,6 +114,13 @@ PhasedPlanExecution::PhasedPlanExecution(const ExecutionPlan* plan,
   pruner_ = OnlinePruningState(views_.size(), options_.online_pruning);
   total_phases_ = std::max<size_t>(1, options_.online_pruning.num_phases);
   phase_seconds_.reserve(total_phases_);
+  // The plan's table passes: one per planned query, or one over them all.
+  const size_t per_scan = per_query() ? 1 : plan_->queries.size();
+  for (size_t q = 0; q < plan_->queries.size(); q += per_scan) {
+    PlanScan& scan = scans_.emplace_back();
+    scan.first_query = q;
+    scan.num_queries = per_scan;
+  }
 }
 
 Result<double> AutoUtilityRange(db::Engine* engine, const ExecutionPlan& plan,
@@ -153,6 +148,13 @@ Result<PhasedPlanExecution> PhasedPlanExecution::Begin(
     db::Engine* engine, const ExecutionPlan& plan, DistanceMetric metric,
     const ExecutorOptions& options) {
   ExecutorOptions resolved = options;
+  if (resolved.strategy == ExecutionStrategy::kPerQuery) {
+    // Per-query passes are not phased: one phase, nothing to prune or to
+    // stop early on.
+    resolved.online_pruning.num_phases = 1;
+    resolved.online_pruning.pruner = OnlinePruner::kNone;
+    resolved.online_pruning.early_stop_stable_phases = 0;
+  }
   // utility_range <= 0 asks for auto-calibration from the metric and the
   // plan's per-view group counts (the EMD case the manual knob cannot
   // cover); every CI computation downstream sees the resolved range.
@@ -160,18 +162,22 @@ Result<PhasedPlanExecution> PhasedPlanExecution::Begin(
     SEEDB_ASSIGN_OR_RETURN(resolved.online_pruning.utility_range,
                            AutoUtilityRange(engine, plan, metric));
   }
-  SEEDB_ASSIGN_OR_RETURN(
-      db::SharedScanSession session,
-      engine->BeginShared(PlanQueries(plan), MakeScanOptions(resolved)));
-  PhasedPlanExecution run(&plan, metric, resolved, std::move(session));
+  PhasedPlanExecution run(engine, &plan, metric, resolved);
+  if (plan.queries.empty()) return run;
+  const std::string& table = plan.queries[0].query.table;
+  SEEDB_ASSIGN_OR_RETURN(const db::Table* data,
+                         engine->catalog()->GetTable(table));
+  run.num_rows_ = data->num_rows();
+  // Per-query passes begin when their turn comes, so the run never holds
+  // more than `parallelism` of them; the fused pass begins now.
+  if (run.per_query()) return run;
+  SEEDB_RETURN_IF_ERROR(run.BeginScan(&run.scans_[0]));
   // Same bit-identity gate as MakeScanOptions: prior-tightened intervals
   // would also shift the MAB's estimate-order halving.
   if (db::PartialAggCache* cache = engine->result_cache();
       cache != nullptr && resolved.online_pruning.pruner !=
                               OnlinePruner::kMultiArmedBandit) {
-    run.SeedUtilityPriors(
-        cache,
-        engine->catalog()->TableVersion(plan.queries[0].query.table));
+    run.SeedUtilityPriors(cache, engine->catalog()->TableVersion(table));
   }
   return run;
 }
@@ -202,18 +208,161 @@ void PhasedPlanExecution::SeedUtilityPriors(db::PartialAggCache* cache,
 }
 
 bool PhasedPlanExecution::done() const {
-  return finished_ || cancelled_ || early_stopped_ ||
+  return finished_ || cancelled_ || early_stopped_ || budget_exceeded_ ||
          phases_run() >= total_phases_;
 }
 
 size_t PhasedPlanExecution::rows_consumed() const {
-  return session_.rows_consumed();
+  if (scans_.empty()) return 0;
+  size_t rows = 0;
+  for (const PlanScan& scan : scans_) {
+    rows += scan.session.has_value() ? scan.session->rows_consumed()
+                                     : scan.rows_consumed;
+  }
+  return rows / scans_.size();
 }
 
-size_t PhasedPlanExecution::num_rows() const { return session_.num_rows(); }
-
 size_t PhasedPlanExecution::agg_state_bytes() const {
-  return session_.stats().agg_state_bytes;
+  size_t bytes = consumed_stats_.agg_state_bytes;
+  for (const PlanScan& scan : scans_) {
+    if (scan.session.has_value()) {
+      bytes += scan.session->stats().agg_state_bytes;
+    }
+  }
+  return bytes;
+}
+
+bool PhasedPlanExecution::ViewActive(const ViewDescriptor& view) const {
+  auto it = view_index_.find(view);
+  return it != view_index_.end() && pruner_.IsActive(it->second);
+}
+
+Status PhasedPlanExecution::BeginScan(PlanScan* scan) {
+  std::vector<db::GroupingSetsQuery> queries;
+  queries.reserve(scan->num_queries);
+  for (size_t i = 0; i < scan->num_queries; ++i) {
+    queries.push_back(plan_->queries[scan->first_query + i].query);
+  }
+  SEEDB_ASSIGN_OR_RETURN(
+      db::SharedScanSession session,
+      engine_->BeginShared(std::move(queries), MakeScanOptions(options_)));
+  scan->session.emplace(std::move(session));
+  return Status::OK();
+}
+
+Status PhasedPlanExecution::ScanOnce(
+    PlanScan* scan, size_t phase,
+    std::optional<std::vector<std::vector<db::Table>>>* results) {
+  Stopwatch timer;
+  if (!scan->session.has_value()) SEEDB_RETURN_IF_ERROR(BeginScan(scan));
+  db::SharedScanSession& session = *scan->session;
+  if (session.cancelled()) {
+    SEEDB_RETURN_IF_ERROR(session.ResumeAfterCancel());
+  } else {
+    SEEDB_RETURN_IF_ERROR(
+        session.RunPhase(num_rows_ * phase / total_phases_,
+                         num_rows_ * (phase + 1) / total_phases_));
+  }
+  if (!session.cancelled() && phase + 1 == total_phases_) {
+    SEEDB_ASSIGN_OR_RETURN(*results, session.Finalize());
+  }
+  scan->seconds += timer.ElapsedSeconds();
+  return Status::OK();
+}
+
+Status PhasedPlanExecution::Consume(
+    PlanScan* scan, std::vector<std::vector<db::Table>> results) {
+  const db::SharedScanSession& session = *scan->session;
+  for (size_t i = 0; i < scan->num_queries; ++i) {
+    if (!session.query_active(i)) continue;
+    SEEDB_RETURN_IF_ERROR(processor_.Consume(
+        plan_->queries[scan->first_query + i], std::move(results[i]),
+        [this](const ViewDescriptor& v) { return ViewActive(v); }));
+  }
+  // Exact per-run engine work, mirroring what Finalize() just folded into
+  // the engine counters (one scan per batch, every query counted).
+  const db::SharedScanStats stats = session.stats();
+  consumed_stats_.rows_scanned += stats.rows_scanned;
+  consumed_stats_.vectorized_morsels += stats.vectorized_morsels;
+  consumed_stats_.simd_morsels += stats.simd_morsels;
+  consumed_stats_.agg_state_bytes += stats.agg_state_bytes;
+  consumed_stats_.cache_hits += stats.cache_hits;
+  consumed_stats_.cache_misses += stats.cache_misses;
+  queries_executed_ += scan->num_queries;
+  ++table_scans_;
+  scan->rows_consumed = session.rows_consumed();
+  if (!per_query()) {
+    // Tearing the fused pass down joins its worker threads, whose wake-up
+    // waits on the scheduler: keep it until the run is destroyed, off the
+    // phase that scores the views.
+    spent_fused_scan_ = std::move(scan->session);
+  }
+  scan->session.reset();
+  scan->consumed = true;
+  return Status::OK();
+}
+
+Status PhasedPlanExecution::RunScans(size_t phase) {
+  std::vector<PlanScan*> pending;
+  for (PlanScan& scan : scans_) {
+    if (!scan.consumed) pending.push_back(&scan);
+  }
+  base::Mutex mu;
+  Status first_error = Status::OK();
+  const auto run = [&](PlanScan* scan) {
+    {
+      base::MutexLock lock(&mu);
+      if (!first_error.ok() || cancelled_ || budget_exceeded_) return;
+      // No new pass starts once cancellation is requested or the finished
+      // passes' footprint broke the budget. A begun pass observes the
+      // cancel token itself.
+      if (!scan->session.has_value()) {
+        if (CancelRequested(options_)) {
+          cancelled_ = true;
+          return;
+        }
+        if (OverBudget(consumed_stats_.agg_state_bytes)) {
+          budget_exceeded_ = true;
+          return;
+        }
+      }
+    }
+    std::optional<std::vector<std::vector<db::Table>>> results;
+    Status s = ScanOnce(scan, phase, &results);
+    base::MutexLock lock(&mu);
+    if (s.ok() && scan->session->cancelled()) cancelled_ = true;
+    if (s.ok() && results.has_value()) s = Consume(scan, std::move(*results));
+    if (!s.ok() && first_error.ok()) first_error = s;
+  };
+  if (pending.size() > 1 && options_.parallelism > 1) {
+    // Per-query passes run `parallelism` at a time; consumption (cheap) is
+    // serialized under the mutex.
+    ThreadPool pool(std::min(options_.parallelism, pending.size()));
+    pool.ParallelFor(0, pending.size(), [&](size_t i) { run(pending[i]); });
+  } else {
+    for (PlanScan* scan : pending) run(scan);
+  }
+  return first_error;
+}
+
+Status PhasedPlanExecution::Score(size_t phases) {
+  // A run that stopped before consuming every row (cancelled, stopped
+  // early, or over budget) can hold views with no data at all, or with one
+  // half only (the other half's query never ran); drop those instead of
+  // failing. Fully scanned runs keep the strict check.
+  const bool partial = cancelled_ || rows_consumed() < num_rows_;
+  SEEDB_ASSIGN_OR_RETURN(results_,
+                         processor_.Finish(/*allow_partial=*/partial));
+  processor_ = ViewProcessor(metric_);  // the results own their data now
+  // Publish warm-start priors: only a full, un-cancelled scan's utilities
+  // are exact, and their evidence weight is the phases that produced them.
+  if (prior_cache_ != nullptr && !partial) {
+    for (const ViewResult& vr : *results_) {
+      prior_cache_->PutUtilityPrior(prior_key_prefix_ + vr.view.Id(),
+                                    vr.utility, phases);
+    }
+  }
+  return Status::OK();
 }
 
 Status PhasedPlanExecution::Resume() {
@@ -223,13 +372,10 @@ Status PhasedPlanExecution::Resume() {
   if (!cancelled_) {
     return Status::InvalidArgument("phased execution is not cancelled");
   }
-  if (session_.cancelled()) {
-    SEEDB_RETURN_IF_ERROR(session_.ResumeAfterCancel());
-    // The token may have fired again mid-resume; stay cancelled then.
-    if (session_.cancelled()) return Status::OK();
-  }
+  // Completes the cut-short phase; the token may fire again mid-resume,
+  // which leaves the run cancelled.
   cancelled_ = false;
-  return Status::OK();
+  return RunScans(phases_run() - 1);
 }
 
 // Scores every surviving view on its running (un-finalized) aggregates.
@@ -238,18 +384,17 @@ Status PhasedPlanExecution::Resume() {
 // than act on undefined estimates; the next boundary sees more rows.
 Result<std::vector<ViewEstimate>> PhasedPlanExecution::EstimateSurvivors()
     const {
-  const auto include_active = [this](const ViewDescriptor& v) {
-    auto it = view_index_.find(v);
-    return it != view_index_.end() && pruner_.IsActive(it->second);
-  };
   ViewProcessor estimator(metric_);
-  for (size_t q = 0; q < plan_->queries.size(); ++q) {
-    if (!session_.query_active(q)) continue;
-    SEEDB_ASSIGN_OR_RETURN(std::vector<db::Table> partial,
-                           session_.PartialResults(q));
-    SEEDB_RETURN_IF_ERROR(
-        estimator.Consume(plan_->queries[q], std::move(partial),
-                          include_active));
+  for (const PlanScan& scan : scans_) {
+    if (!scan.session.has_value()) continue;
+    for (size_t i = 0; i < scan.num_queries; ++i) {
+      if (!scan.session->query_active(i)) continue;
+      SEEDB_ASSIGN_OR_RETURN(std::vector<db::Table> partial,
+                             scan.session->PartialResults(i));
+      SEEDB_RETURN_IF_ERROR(estimator.Consume(
+          plan_->queries[scan.first_query + i], std::move(partial),
+          [this](const ViewDescriptor& v) { return ViewActive(v); }));
+    }
   }
   SEEDB_ASSIGN_OR_RETURN(std::vector<ViewResult> scored, estimator.Finish());
   std::vector<ViewEstimate> estimates;
@@ -296,51 +441,24 @@ bool PhasedPlanExecution::EvaluateEarlyStop(
   return true;
 }
 
-Result<PhaseSnapshot> PhasedPlanExecution::Step(bool collect_estimates) {
-  if (done()) {
-    return Status::Internal("phased execution already done");
-  }
-  Stopwatch phase_timer;
-  const size_t p = phases_run();
-  const size_t n = session_.num_rows();
-  const size_t begin = n * p / total_phases_;
-  const size_t end = n * (p + 1) / total_phases_;
-  SEEDB_RETURN_IF_ERROR(session_.RunPhase(begin, end));
-
-  PhaseSnapshot snap;
-  snap.phase = p + 1;
-  snap.total_phases = total_phases_;
-  snap.views_active = pruner_.num_active();
-  snap.views_pruned = pruner_.views_pruned();
-
-  if (session_.cancelled()) {
-    cancelled_ = true;
-    snap.cancelled = true;
-    snap.rows_consumed = session_.rows_consumed();
-    // The cut-short phase observed no boundary: report the width the
-    // PREVIOUS boundaries earned (infinite before the first one) — never
-    // the zero-default, which would read as perfect confidence on the
-    // least-trustworthy estimates of the run.
-    snap.ci_half_width = OnlinePruningState::ConfidenceHalfWidth(
-        options_.online_pruning, boundaries_observed_);
-    phase_seconds_.push_back(phase_timer.ElapsedSeconds());
-    snap.phase_seconds = phase_seconds_.back();
-    return snap;
-  }
-
+// A boundary between phases: prune (when a pruner is engaged), collect
+// estimates (when requested or needed), and evaluate the early-stop policy.
+Status PhasedPlanExecution::BoundaryBookkeeping(size_t phase,
+                                                bool collect_estimates,
+                                                PhaseSnapshot* snap) {
   const OnlinePruningOptions& popts = options_.online_pruning;
-  const bool boundary = p + 1 < total_phases_;
+  const bool boundary = phase + 1 < total_phases_;
   const bool want_prune =
       boundary && popts.pruner != OnlinePruner::kNone && popts.keep_k > 0 &&
-      pruner_.num_active() > popts.keep_k && session_.rows_consumed() > 0;
+      pruner_.num_active() > popts.keep_k && rows_consumed() > 0;
   const bool want_early_stop =
       boundary && popts.early_stop_stable_phases > 0;
   ++boundaries_observed_;
-  snap.ci_half_width =
+  snap->ci_half_width =
       OnlinePruningState::ConfidenceHalfWidth(popts, boundaries_observed_);
 
   if ((want_prune || want_early_stop || collect_estimates) &&
-      session_.rows_consumed() > 0) {
+      rows_consumed() > 0) {
     Result<std::vector<ViewEstimate>> estimates = EstimateSurvivors();
     if (estimates.ok()) {
       if (want_prune) {
@@ -349,11 +467,17 @@ Result<PhaseSnapshot> PhasedPlanExecution::Step(bool collect_estimates) {
           utilities[view_index_.at(e.view)] = e.utility;
         }
         for (size_t v : pruner_.Observe(utilities)) {
-          online_pruned_.push_back({views_[v], utilities[v], snap.phase,
-                                    session_.rows_consumed()});
+          online_pruned_.push_back({views_[v], utilities[v], snap->phase,
+                                    rows_consumed()});
           for (size_t q : queries_of_view_[v]) {
-            if (--live_slots_[q] == 0 && session_.query_active(q)) {
-              SEEDB_RETURN_IF_ERROR(session_.DeactivateQuery(q));
+            if (--live_slots_[q] > 0) continue;
+            // Every scan answers the same number of consecutive queries.
+            const size_t per_scan = scans_[0].num_queries;
+            std::optional<db::SharedScanSession>& session =
+                scans_[q / per_scan].session;
+            const size_t i = q % per_scan;
+            if (session.has_value() && session->query_active(i)) {
+              SEEDB_RETURN_IF_ERROR(session->DeactivateQuery(i));
               ++queries_deactivated_;
             }
           }
@@ -365,20 +489,71 @@ Result<PhaseSnapshot> PhasedPlanExecution::Step(bool collect_estimates) {
         });
       }
       if (want_early_stop &&
-          EvaluateEarlyStop(*estimates, snap.ci_half_width)) {
+          EvaluateEarlyStop(*estimates, snap->ci_half_width)) {
         early_stopped_ = true;
-        snap.early_stopped = true;
+        snap->early_stopped = true;
       }
       if (collect_estimates) {
-        snap.has_estimates = true;
-        snap.estimates = std::move(*estimates);
+        snap->has_estimates = true;
+        snap->estimates = std::move(*estimates);
       }
     }
   }
 
+  return Status::OK();
+}
+
+Result<PhaseSnapshot> PhasedPlanExecution::Step(bool collect_estimates) {
+  if (done()) {
+    return Status::Internal("phased execution already done");
+  }
+  Stopwatch phase_timer;
+  const size_t p = phases_run();
+  SEEDB_RETURN_IF_ERROR(RunScans(p));
+  // The run's one memory meter (per-query runs also check it before each
+  // pass starts, inside RunScans): a breach ends the run after this phase.
+  if (OverBudget(agg_state_bytes())) budget_exceeded_ = true;
+
+  PhaseSnapshot snap;
+  snap.phase = p + 1;
+  snap.total_phases = total_phases_;
   snap.views_active = pruner_.num_active();
   snap.views_pruned = pruner_.views_pruned();
-  snap.rows_consumed = session_.rows_consumed();
+
+  if (cancelled_) {
+    snap.cancelled = true;
+    snap.rows_consumed = rows_consumed();
+    // The cut-short phase observed no boundary: report the width the
+    // PREVIOUS boundaries earned (infinite before the first one) — never
+    // the zero-default, which would read as perfect confidence on the
+    // least-trustworthy estimates of the run.
+    snap.ci_half_width = OnlinePruningState::ConfidenceHalfWidth(
+        options_.online_pruning, boundaries_observed_);
+    phase_seconds_.push_back(phase_timer.ElapsedSeconds());
+    snap.phase_seconds = phase_seconds_.back();
+    return snap;
+  }
+
+  if (std::all_of(scans_.begin(), scans_.end(),
+                  [](const PlanScan& scan) { return scan.consumed; })) {
+    // This phase consumed the last row: score the views once, here. The
+    // utilities are exact, so their interval has zero width, and Finish()
+    // returns these very results.
+    SEEDB_RETURN_IF_ERROR(Score(p + 1));
+    if (collect_estimates) {
+      snap.has_estimates = true;
+      snap.estimates.reserve(results_->size());
+      for (const ViewResult& vr : *results_) {
+        snap.estimates.push_back({vr.view, vr.utility});
+      }
+    }
+  } else {
+    BoundaryBookkeeping(p, collect_estimates, &snap);
+  }
+
+  snap.views_active = pruner_.num_active();
+  snap.views_pruned = pruner_.views_pruned();
+  snap.rows_consumed = rows_consumed();
   phase_seconds_.push_back(phase_timer.ElapsedSeconds());
   snap.phase_seconds = phase_seconds_.back();
   return snap;
@@ -391,57 +566,45 @@ Result<std::vector<ViewResult>> PhasedPlanExecution::Finish(
   }
   finished_ = true;
   Stopwatch finalize_timer;
-  const auto include_active = [this](const ViewDescriptor& v) {
-    auto it = view_index_.find(v);
-    return it != view_index_.end() && pruner_.IsActive(it->second);
-  };
-  ViewProcessor processor(metric_);
-  SEEDB_ASSIGN_OR_RETURN(std::vector<std::vector<db::Table>> all,
-                         session_.Finalize());
-  for (size_t q = 0; q < plan_->queries.size(); ++q) {
-    if (!session_.query_active(q)) continue;
-    SEEDB_RETURN_IF_ERROR(
-        processor.Consume(plan_->queries[q], std::move(all[q]),
-                          include_active));
+  if (!results_.has_value()) {
+    // The run stopped before consuming its last row (cancelled, stopped
+    // early or over budget): finalize the live scans on the rows seen.
+    for (PlanScan& scan : scans_) {
+      if (!scan.session.has_value()) continue;
+      SEEDB_ASSIGN_OR_RETURN(std::vector<std::vector<db::Table>> results,
+                             scan.session->Finalize());
+      SEEDB_RETURN_IF_ERROR(Consume(&scan, std::move(results)));
+    }
+    SEEDB_RETURN_IF_ERROR(Score(phases_run()));
   }
   if (report) {
-    report->phase_seconds = phase_seconds_;
-    report->phases_executed = phases_run();
-    report->views_pruned_online = pruner_.views_pruned();
-    report->online_pruned = online_pruned_;
-    report->queries_deactivated = queries_deactivated_;
-    report->early_stopped = early_stopped_;
-    report->cancelled = cancelled_;
-    report->total_seconds = finalize_timer.ElapsedSeconds();
-    for (double s : phase_seconds_) report->total_seconds += s;
-    // Exact per-run engine work, mirroring what Finalize() just folded into
-    // the engine counters (one scan per batch, every query counted).
-    report->queries_executed = plan_->queries.size();
-    report->table_scans = 1;
-    const db::SharedScanStats scan_stats = session_.stats();
-    report->rows_scanned = scan_stats.rows_scanned;
-    report->vectorized_morsels = scan_stats.vectorized_morsels;
-    report->simd_morsels = scan_stats.simd_morsels;
-    report->agg_state_bytes = scan_stats.agg_state_bytes;
-    report->cache_hits = scan_stats.cache_hits;
-    report->cache_misses = scan_stats.cache_misses;
-  }
-  // A run that stopped before consuming every row (cancelled, or stopped
-  // before the first phase) can hold views with no data at all; drop those
-  // instead of failing. Fully scanned runs keep the strict check.
-  const bool partial =
-      cancelled_ || session_.rows_consumed() < session_.num_rows();
-  SEEDB_ASSIGN_OR_RETURN(std::vector<ViewResult> results,
-                         processor.Finish(/*allow_partial=*/partial));
-  // Publish warm-start priors: only a full, un-cancelled scan's utilities
-  // are exact, and their evidence weight is the phases that produced them.
-  if (prior_cache_ != nullptr && !partial) {
-    for (const ViewResult& vr : results) {
-      prior_cache_->PutUtilityPrior(prior_key_prefix_ + vr.view.Id(),
-                                    vr.utility, phases_run());
+    ExecutionReport r;
+    r.total_seconds = finalize_timer.ElapsedSeconds();
+    for (double s : phase_seconds_) r.total_seconds += s;
+    if (per_query()) {
+      for (const PlanScan& scan : scans_) {
+        r.query_seconds.push_back(scan.seconds);
+      }
     }
+    r.phase_seconds = phase_seconds_;
+    r.phases_executed = phases_run();
+    r.views_pruned_online = pruner_.views_pruned();
+    r.online_pruned = online_pruned_;
+    r.queries_deactivated = queries_deactivated_;
+    r.early_stopped = early_stopped_;
+    r.cancelled = cancelled_;
+    r.queries_executed = queries_executed_;
+    r.table_scans = table_scans_;
+    r.rows_scanned = consumed_stats_.rows_scanned;
+    r.vectorized_morsels = consumed_stats_.vectorized_morsels;
+    r.simd_morsels = consumed_stats_.simd_morsels;
+    r.cache_hits = consumed_stats_.cache_hits;
+    r.cache_misses = consumed_stats_.cache_misses;
+    r.agg_state_bytes = consumed_stats_.agg_state_bytes;
+    r.budget_exceeded = budget_exceeded_;
+    *report = std::move(r);
   }
-  return results;
+  return std::move(*results_);
 }
 
 Result<std::vector<ViewResult>> ExecutePlan(db::Engine* engine,
@@ -450,130 +613,15 @@ Result<std::vector<ViewResult>> ExecutePlan(db::Engine* engine,
                                             const ExecutorOptions& options,
                                             ExecutionReport* report) {
   Stopwatch total_timer;
-
-  if (options.strategy != ExecutionStrategy::kPerQuery &&
-      !plan.queries.empty()) {
-    SEEDB_ASSIGN_OR_RETURN(
-        PhasedPlanExecution run,
-        PhasedPlanExecution::Begin(
-            engine, plan, metric,
-            options.strategy == ExecutionStrategy::kSharedScan
-                ? SinglePhaseOptions(options)
-                : options));
-    bool budget_exceeded = false;
-    while (!run.done()) {
-      SEEDB_RETURN_IF_ERROR(run.Step(/*collect_estimates=*/false).status());
-      // Budget metering at the phase boundary (the one boundary a
-      // single-phase kSharedScan run has): a breach stops the scan here and
-      // the run finishes gracefully on the rows already merged.
-      if (options.memory_budget_bytes > 0 &&
-          run.agg_state_bytes() > options.memory_budget_bytes) {
-        budget_exceeded = true;
-        break;
-      }
-    }
-    Result<std::vector<ViewResult>> views = run.Finish(report);
-    SEEDB_RETURN_IF_ERROR(views.status());
-    if (report) {
-      report->total_seconds = total_timer.ElapsedSeconds();
-      report->budget_exceeded = budget_exceeded;
-    }
-    return views;
-  }
-
-  ViewProcessor processor(metric);
-  bool cancelled = false;
-  bool budget_exceeded = false;
-  std::vector<double> query_seconds(plan.queries.size(), 0.0);
-  // kPerQuery runs every planned query as its own one-query batch. Each
-  // batch's statistics describe that pass alone, so summing them gives this
-  // run's exact work however many runs share the engine. The metered
-  // footprint is the cumulative merged agg state of the batches so far: all
-  // result groups are retained in the processor until Finish.
-  ExecutionReport work;
-  const auto account = [&work](const db::SharedScanStats& stats) {
-    ++work.queries_executed;
-    ++work.table_scans;
-    work.rows_scanned += stats.rows_scanned;
-    work.vectorized_morsels += stats.vectorized_morsels;
-    work.simd_morsels += stats.simd_morsels;
-    work.agg_state_bytes += stats.agg_state_bytes;
-  };
-  const auto over_budget = [&] {
-    return options.memory_budget_bytes > 0 &&
-           work.agg_state_bytes > options.memory_budget_bytes;
-  };
-  if (options.parallelism <= 1) {
-    for (size_t i = 0; i < plan.queries.size(); ++i) {
-      if (CancelRequested(options)) {
-        cancelled = true;
-        break;
-      }
-      Stopwatch qt;
-      db::SharedScanStats stats;
-      SEEDB_ASSIGN_OR_RETURN(std::vector<db::Table> results,
-                             engine->Execute(plan.queries[i].query, &stats));
-      query_seconds[i] = qt.ElapsedSeconds();
-      account(stats);
-      SEEDB_RETURN_IF_ERROR(
-          processor.Consume(plan.queries[i], std::move(results)));
-      if (over_budget()) {
-        budget_exceeded = true;
-        break;
-      }
-    }
-  } else {
-    // Parallel execution: queries run concurrently on the pool; consumption
-    // (cheap) is serialized under a mutex. A budget breach stops further
-    // queries from being issued, like cancellation.
-    ThreadPool pool(options.parallelism);
-    base::Mutex mu;
-    Status first_error = Status::OK();
-    pool.ParallelFor(0, plan.queries.size(), [&](size_t i) {
-      if (CancelRequested(options)) {
-        base::MutexLock lock(&mu);
-        cancelled = true;
-        return;
-      }
-      {
-        base::MutexLock lock(&mu);
-        if (budget_exceeded) return;
-      }
-      Stopwatch qt;
-      db::SharedScanStats stats;
-      auto result = engine->Execute(plan.queries[i].query, &stats);
-      double elapsed = qt.ElapsedSeconds();
-      base::MutexLock lock(&mu);
-      query_seconds[i] = elapsed;
-      if (!result.ok()) {
-        if (first_error.ok()) first_error = result.status();
-        return;
-      }
-      account(stats);
-      if (first_error.ok()) {
-        Status s =
-            processor.Consume(plan.queries[i], std::move(result).ValueOrDie());
-        if (!s.ok()) first_error = s;
-        if (over_budget()) budget_exceeded = true;
-      }
-    });
-    if (!first_error.ok()) return first_error;
-  }
-
-  // A cancelled or budget-stopped per-query run may hold views with only
-  // one half consumed (the other query never ran); those are dropped rather
-  // than scored.
   SEEDB_ASSIGN_OR_RETURN(
-      std::vector<ViewResult> results,
-      processor.Finish(/*allow_partial=*/cancelled || budget_exceeded));
-  if (report) {
-    *report = std::move(work);
-    report->total_seconds = total_timer.ElapsedSeconds();
-    report->query_seconds = std::move(query_seconds);
-    report->cancelled = cancelled;
-    report->budget_exceeded = budget_exceeded;
+      PhasedPlanExecution run,
+      PhasedPlanExecution::Begin(engine, plan, metric, options));
+  while (!run.done()) {
+    SEEDB_RETURN_IF_ERROR(run.Step(/*collect_estimates=*/false).status());
   }
-  return results;
+  SEEDB_ASSIGN_OR_RETURN(std::vector<ViewResult> views, run.Finish(report));
+  if (report) report->total_seconds = total_timer.ElapsedSeconds();
+  return views;
 }
 
 }  // namespace seedb::core

@@ -7,24 +7,26 @@
 // over a thread pool; per-query latencies are recorded so benches can report
 // both sides of the trade-off.
 //
-// Three strategies are offered, all over the engine's one executor, the
-// shared scan (db/shared_scan.h). kPerQuery is the paper's inter-query
-// parallelism: each planned query is its own one-query, single-threaded
-// batch — an independent pass over the table — and the pool runs passes
-// concurrently. kSharedScan is the logical endpoint of §3.3's sharing
-// argument: the whole plan is one batch answered in ONE morsel-driven pass,
-// with intra-scan parallelism — it gets faster with cores, not with query
-// count. kPhasedSharedScan runs that same
-// fused pass as N sequential table slices and, at each phase boundary,
-// re-estimates every surviving view's utility from its running (un-finalized)
-// aggregates and lets an online pruner (core/online_pruning.h) retire views
-// that provably — or probably, depending on the strategy — cannot make the
-// top k, so the remaining phases scan for fewer queries.
+// Two strategies are offered, both driven by one PhasedPlanExecution over
+// the engine's one executor, the shared scan (db/shared_scan.h). They differ
+// only in how the plan's queries are batched into table passes and how many
+// phases cut the pass. kPerQuery is the paper's inter-query parallelism:
+// each planned query is its own one-query, single-threaded pass, and
+// `parallelism` passes run at once in a single phase. kPhasedSharedScan is
+// the logical endpoint of §3.3's sharing argument: the whole plan is one
+// morsel-driven pass with intra-scan parallelism, cut into N sequential
+// table slices (N = 1 is the one-shot fused scan). At each phase boundary
+// it re-estimates every surviving view's utility from its running
+// (un-finalized) aggregates and lets an online pruner
+// (core/online_pruning.h) retire views that provably — or probably,
+// depending on the strategy — cannot make the top k, so the remaining
+// phases scan for fewer queries.
 
 #ifndef SEEDB_CORE_EXECUTOR_H_
 #define SEEDB_CORE_EXECUTOR_H_
 
 #include <atomic>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -40,13 +42,13 @@ namespace seedb::core {
 
 /// How the executor maps an ExecutionPlan onto engine work.
 enum class ExecutionStrategy {
-  /// One engine query per planned query; `parallelism` queries in flight.
+  /// One single-threaded table pass per planned query, bypassing the result
+  /// cache; `parallelism` passes in flight, all in one phase.
   kPerQuery,
-  /// The whole plan fused into one morsel-driven table pass;
-  /// `parallelism` worker threads inside the scan.
-  kSharedScan,
-  /// The fused pass split into `online_pruning.num_phases` sequential row
-  /// slices with confidence-interval / MAB view pruning at each boundary.
+  /// The whole plan fused into one morsel-driven table pass with
+  /// `parallelism` worker threads, split into `online_pruning.num_phases`
+  /// sequential row slices with confidence-interval / MAB view pruning at
+  /// each boundary (1 phase = one uninterrupted pass).
   kPhasedSharedScan,
 };
 
@@ -54,59 +56,53 @@ const char* ExecutionStrategyToString(ExecutionStrategy strategy);
 
 struct ExecutorOptions {
   /// kPerQuery: queries executed concurrently (1 = serial).
-  /// kSharedScan / kPhasedSharedScan: morsel worker threads (0 = hardware
-  /// concurrency).
+  /// kPhasedSharedScan: morsel worker threads (0 = hardware concurrency).
   size_t parallelism = 1;
   ExecutionStrategy strategy = ExecutionStrategy::kPerQuery;
-  /// Rows per morsel for the fused strategies (0 = adaptive, re-derived at
-  /// every phase start from the phase's rows and the surviving query count —
-  /// db::AdaptiveMorselRows).
+  /// Rows per morsel (0 = adaptive, re-derived at every phase start from the
+  /// phase's rows and the surviving query count — db::AdaptiveMorselRows).
   size_t morsel_rows = db::SharedScanOptions{}.morsel_rows;
-  /// Explicit-SIMD kernel tier inside the fused strategies' vectorized
-  /// morsels (db/vec/simd/). Kill switch — results are bit-identical either
-  /// way; the tier also self-disables on builds/CPUs without the ISA.
-  bool enable_simd = true;
   /// Phase count, mid-flight pruner and early-stop policy for
-  /// kPhasedSharedScan (ignored by the other strategies). keep_k must be set
-  /// for pruning to engage; the SeeDB facade wires it to the top-k request.
+  /// kPhasedSharedScan (kPerQuery always runs one phase without a pruner).
+  /// keep_k must be set for pruning to engage; the SeeDB facade wires it to
+  /// the top-k request.
   OnlinePruningOptions online_pruning;
-  /// Cooperative cancellation token. Under the fused strategies it is
-  /// observed at morsel boundaries inside the scan; under kPerQuery between
-  /// queries. On cancellation the executor returns the views completed so
-  /// far (fused strategies: every survivor, estimated over the rows seen)
-  /// and sets ExecutionReport::cancelled. nullptr = not cancellable.
+  /// Cooperative cancellation token. Under kPhasedSharedScan it is observed
+  /// at morsel boundaries inside the scan; under kPerQuery between queries.
+  /// On cancellation the executor returns the views completed so far
+  /// (kPhasedSharedScan: every survivor, estimated over the rows seen) and
+  /// sets ExecutionReport::cancelled. nullptr = not cancellable.
   const std::atomic<bool>* cancel = nullptr;
   /// Record obs trace spans for this run's scan phases and worker merge
   /// steps even when the recorder is not tracing all sessions.
   bool trace = false;
   /// Cap on the plan's aggregation-state footprint in bytes; 0 = unlimited.
-  /// Fused strategies meter the scan's merged agg state at every phase
-  /// boundary (one boundary for kSharedScan); kPerQuery meters the
-  /// cumulative merged agg state of the one-query batches run so far (their
-  /// results are all retained) and stops issuing queries on a breach. Either way the
-  /// run ends gracefully with ExecutionReport::budget_exceeded set and
-  /// partial results over the work already done — the same contract as
-  /// SeeDBOptions::memory_budget_bytes under the phased session.
+  /// Metered inside PhasedPlanExecution::Step: after every phase, and under
+  /// kPerQuery also before each query starts, over the cumulative merged agg
+  /// state of the run's passes (finished per-query passes' results are all
+  /// retained). A breach stops the run gracefully with
+  /// ExecutionReport::budget_exceeded set and partial results over the work
+  /// already done.
   size_t memory_budget_bytes = 0;
 };
 
-/// Latency breakdown of one plan execution. Which fields are populated
-/// depends on the strategy: per-query wall times only exist when queries
-/// actually run independently; a fused pass has per-*phase* wall times
-/// instead (one phase for kSharedScan). Nothing is ever attributed evenly
-/// across queries that shared a pass.
+/// Latency breakdown of one plan execution. Per-query wall times only exist
+/// when queries actually run as their own passes (kPerQuery); every run has
+/// per-phase wall times. Nothing is ever attributed evenly across queries
+/// that shared a pass.
 struct ExecutionReport {
   /// Wall time to run the whole plan.
   double total_seconds = 0.0;
-  /// Per planned-query wall time, in plan order. Populated under kPerQuery
-  /// only; empty under the fused strategies.
+  /// Per planned-query wall time of its own pass, in plan order (0 for
+  /// queries that never ran). Populated under kPerQuery only.
   std::vector<double> query_seconds;
-  /// Per-phase wall time of the fused pass, including each boundary's
-  /// estimate/prune bookkeeping. One entry under kSharedScan, one per phase
-  /// under kPhasedSharedScan, empty under kPerQuery.
+  /// Per-phase wall time, including each boundary's estimate/prune
+  /// bookkeeping and, in the last phase, scoring the views. One entry per
+  /// phase run (kPerQuery runs one).
   std::vector<double> phase_seconds;
-  /// Phases the fused pass ran (0 under kPerQuery). Smaller than the
-  /// requested phase count when the run early-stopped or was cancelled.
+  /// Phases the run executed (1 under kPerQuery). Smaller than the
+  /// requested phase count when the run early-stopped, was cancelled or
+  /// exceeded its memory budget.
   size_t phases_executed = 0;
   /// Views retired mid-flight by the online pruner (= online_pruned.size()).
   size_t views_pruned_online = 0;
@@ -125,7 +121,7 @@ struct ExecutionReport {
   bool cancelled = false;
   /// Engine work attributable to THIS run, summed from its own batches'
   /// statistics, so concurrent runs on one engine do not bleed into each
-  /// other's profiles. The fused strategies run one batch (table_scans = 1);
+  /// other's profiles. kPhasedSharedScan runs one batch (table_scans = 1);
   /// kPerQuery runs one batch per query executed (table_scans =
   /// queries_executed, rows_scanned summed over those passes).
   size_t queries_executed = 0;
@@ -143,9 +139,8 @@ struct ExecutionReport {
   /// kPerQuery or when the engine cache is disabled.
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
-  /// Aggregation-state footprint of the run in bytes: the fused scan's
-  /// merged state, or the sum over kPerQuery's batches — what
-  /// memory_budget_bytes is metered against.
+  /// Aggregation-state footprint of the run in bytes, summed over its
+  /// passes — what memory_budget_bytes is metered against.
   size_t agg_state_bytes = 0;
   /// The run stopped before completing every planned unit of work because
   /// the aggregation-state footprint crossed
@@ -185,11 +180,13 @@ struct PhaseSnapshot {
   /// Views retired by the online pruner so far (cumulative).
   size_t views_pruned = 0;
   /// Hoeffding half-width eps(m) after this many boundaries under the run's
-  /// delta / utility_range; infinite when delta <= 0.
+  /// delta / utility_range; infinite when delta <= 0. 0 after the phase
+  /// that consumed the last row, whose utilities are exact.
   double ci_half_width = 0.0;
   /// Surviving views' running utilities, when estimate collection was
   /// requested (or needed by the pruner / early-stop policy) and the
-  /// boundary estimates were computable.
+  /// boundary estimates were computable. After the phase that consumed the
+  /// last row these are the final utilities Finish() returns.
   bool has_estimates = false;
   std::vector<ViewEstimate> estimates;
   /// This boundary triggered early stop (the run is now done).
@@ -198,9 +195,19 @@ struct PhaseSnapshot {
   bool cancelled = false;
 };
 
-/// \brief A kPhasedSharedScan plan execution advanced one phase at a time —
-/// the machinery behind both blocking ExecutePlan() and the streaming
-/// RecommendationSession (core/session.h).
+/// \brief A plan execution advanced one phase at a time — the one driver
+/// behind both ExecutePlan() and the streaming RecommendationSession
+/// (core/session.h), whatever the strategy.
+///
+/// The run owns the plan's table passes as db::SharedScanSessions: one fused
+/// scan over the whole plan under kPhasedSharedScan, begun by Begin(); one
+/// single-threaded scan per planned query under kPerQuery, each begun when
+/// its turn comes. A scan that has consumed the last row is finalized and
+/// its results handed to the run's ViewProcessor; a per-query scan's state
+/// is released then, the fused scan's (and its worker threads) with the
+/// run. The phase that consumes the last row scores the views, once: its
+/// snapshot's estimates are the final utilities, and Finish() returns them
+/// without re-materializing anything.
 ///
 /// Usage:
 ///   SEEDB_ASSIGN_OR_RETURN(auto run, PhasedPlanExecution::Begin(...));
@@ -209,7 +216,8 @@ struct PhaseSnapshot {
 ///
 /// Not thread-safe, with one exception: the ExecutorOptions::cancel token
 /// may be flipped from another thread while Step() runs; the in-flight
-/// phase then returns within one morsel granule.
+/// phase then returns within one morsel granule (kPhasedSharedScan) or once
+/// the queries in flight complete (kPerQuery).
 class PhasedPlanExecution {
  public:
   static Result<PhasedPlanExecution> Begin(db::Engine* engine,
@@ -219,19 +227,25 @@ class PhasedPlanExecution {
 
   size_t total_phases() const { return total_phases_; }
   size_t phases_run() const { return phase_seconds_.size(); }
-  /// True when every phase ran, early stop fired, or the run was cancelled;
-  /// Step() must not be called once done.
+  /// True when every phase ran, early stop fired, the run was cancelled or
+  /// its memory budget was exceeded; Step() must not be called once done.
   bool done() const;
   bool early_stopped() const { return early_stopped_; }
   bool cancelled() const { return cancelled_; }
+  /// A phase pushed the aggregation-state footprint past
+  /// ExecutorOptions::memory_budget_bytes; the run stopped there.
+  bool budget_exceeded() const { return budget_exceeded_; }
+  /// Rows of the table consumed so far, averaged over the run's passes
+  /// (under kPerQuery: the table's rows times the fraction of queries run).
   size_t rows_consumed() const;
-  size_t num_rows() const;
+  size_t num_rows() const { return num_rows_; }
 
   /// Runs the next phase and its boundary bookkeeping: prune (when a pruner
   /// is engaged and phases remain), collect estimates (when requested or
-  /// needed), and evaluate the early-stop policy. `collect_estimates` asks
-  /// for the surviving views' running utilities in the snapshot even when
-  /// no pruner needs them — the streaming session's provisional top-k.
+  /// needed), evaluate the early-stop policy, and meter the memory budget.
+  /// `collect_estimates` asks for the surviving views' running utilities in
+  /// the snapshot even when no pruner needs them — the streaming session's
+  /// provisional top-k.
   Result<PhaseSnapshot> Step(bool collect_estimates);
 
   /// Stops the run here: remaining phases are skipped and Finish()
@@ -239,21 +253,22 @@ class PhasedPlanExecution {
   void StopEarly() { early_stopped_ = true; }
 
   /// Re-opens a cancelled run instead of discarding it: the cut-short
-  /// phase's missed morsels are scanned now (exactly — every row of that
-  /// phase ends up covered once), after which Step() continues from the
-  /// next phase. The caller must reset the cancel token before calling; a
-  /// token still reading true cancels the resume again (cancelled() stays
-  /// true, and another Resume() may follow). Errors when the run was not
-  /// cancelled or already finished.
+  /// phase's missed work is done now (exactly — every row of that phase
+  /// ends up covered once, and every query not yet run under kPerQuery
+  /// runs), after which Step() continues from the next phase. The caller
+  /// must reset the cancel token before calling; a token still reading true
+  /// cancels the resume again (cancelled() stays true, and another Resume()
+  /// may follow). Errors when the run was not cancelled or already finished.
   Status Resume();
 
-  /// Merged aggregation-state footprint of the underlying scan so far, in
-  /// bytes — what a per-session memory budget meters.
+  /// Merged aggregation-state footprint of the run's passes so far, in
+  /// bytes — what the memory budget meters.
   size_t agg_state_bytes() const;
 
-  /// Terminal: finalizes the scan (recording engine stats), consumes every
-  /// surviving view and scores it with the run's metric. After early stop
-  /// or cancellation the utilities are estimates over the rows consumed.
+  /// Terminal: returns every surviving view scored with the run's metric.
+  /// After a complete run these are the results the last phase scored;
+  /// after early stop, cancellation or a budget breach the live scans are
+  /// finalized here and the utilities are estimates over the rows consumed.
   /// `report` (optional) receives the full latency/pruning breakdown.
   Result<std::vector<ViewResult>> Finish(ExecutionReport* report = nullptr);
 
@@ -263,25 +278,75 @@ class PhasedPlanExecution {
   }
 
  private:
-  PhasedPlanExecution(const ExecutionPlan* plan, DistanceMetric metric,
-                      ExecutorOptions options, db::SharedScanSession session);
+  /// One pass over the table answering plan queries
+  /// [first_query, first_query + num_queries).
+  struct PlanScan {
+    size_t first_query = 0;
+    size_t num_queries = 0;
+    /// Live from its begin until its results are consumed.
+    std::optional<db::SharedScanSession> session;
+    bool consumed = false;
+    /// Rows the pass covered, kept once its session is released.
+    size_t rows_consumed = 0;
+    /// Wall time of begin, scan and finalize.
+    double seconds = 0.0;
+  };
+
+  PhasedPlanExecution(db::Engine* engine, const ExecutionPlan* plan,
+                      DistanceMetric metric, ExecutorOptions options);
 
   /// Result-cache warm start: looks up each plan view's utility prior under
   /// `table_version` and, when EVERY view has one (a partial prior set would
   /// give cold views tight intervals around 0 and mis-prune them), rebuilds
   /// the pruner with those estimates and the smallest prior weight found.
-  /// Always remembers the cache so Finish() can publish this run's final
+  /// Always remembers the cache so the final scoring can publish this run's
   /// utilities back. Called by Begin() when the engine cache is enabled.
   void SeedUtilityPriors(db::PartialAggCache* cache, uint64_t table_version);
+
+  bool per_query() const {
+    return options_.strategy == ExecutionStrategy::kPerQuery;
+  }
+  bool OverBudget(size_t bytes) const {
+    return options_.memory_budget_bytes > 0 &&
+           bytes > options_.memory_budget_bytes;
+  }
+  bool ViewActive(const ViewDescriptor& view) const;
+
+  /// Begins `scan`'s engine pass over its planned queries.
+  Status BeginScan(PlanScan* scan);
+  /// Runs phase `phase` (0-based) on every scan that has not covered it yet
+  /// — resuming a cut-short phase where it stopped — and, in the last
+  /// phase, consumes each scan that covered the table. Under kPerQuery the
+  /// queries run `parallelism` at a time, and cancellation and the memory
+  /// budget are checked before each one starts.
+  Status RunScans(size_t phase);
+  /// Scans `scan`'s rows of `phase`, beginning it first if needed; when the
+  /// pass covered the table uncancelled, finalizes it into `*results`.
+  Status ScanOnce(PlanScan* scan, size_t phase,
+                  std::optional<std::vector<std::vector<db::Table>>>* results);
+  /// Hands a finalized scan's surviving results to the processor and adds
+  /// its work to the run's totals. A per-query scan's state is released
+  /// here; the fused scan moves to spent_fused_scan_.
+  Status Consume(PlanScan* scan, std::vector<std::vector<db::Table>> results);
+  /// Scores every consumed view into results_; publishes utility priors,
+  /// weighted by `phases`, when the run consumed every row uncancelled.
+  Status Score(size_t phases);
+  /// The bookkeeping after a phase that did not consume the last row.
+  Status BoundaryBookkeeping(size_t phase, bool collect_estimates,
+                             PhaseSnapshot* snap);
 
   Result<std::vector<ViewEstimate>> EstimateSurvivors() const;
   bool EvaluateEarlyStop(const std::vector<ViewEstimate>& estimates,
                          double eps);
 
+  db::Engine* engine_;
   const ExecutionPlan* plan_;
   DistanceMetric metric_;
   ExecutorOptions options_;
-  db::SharedScanSession session_;
+  std::vector<PlanScan> scans_;
+  /// The consumed fused pass, released with the run (see Consume()).
+  std::optional<db::SharedScanSession> spent_fused_scan_;
+  size_t num_rows_ = 0;
 
   /// Dense view index across the plan plus the wiring from each view to the
   /// planned queries carrying one of its halves.
@@ -290,6 +355,14 @@ class PhasedPlanExecution {
   std::vector<std::vector<size_t>> queries_of_view_;
   std::vector<size_t> live_slots_;
 
+  /// Consumed scans' results, scored once into results_.
+  ViewProcessor processor_;
+  std::optional<std::vector<ViewResult>> results_;
+  /// Work of the consumed scans, summed.
+  db::SharedScanStats consumed_stats_;
+  size_t queries_executed_ = 0;
+  size_t table_scans_ = 0;
+
   OnlinePruningState pruner_;
   size_t total_phases_ = 1;
   std::vector<double> phase_seconds_;
@@ -297,6 +370,7 @@ class PhasedPlanExecution {
   size_t queries_deactivated_ = 0;
   bool early_stopped_ = false;
   bool cancelled_ = false;
+  bool budget_exceeded_ = false;
   bool finished_ = false;
 
   /// Boundaries this run has observed — drives the displayed Hoeffding
@@ -309,8 +383,8 @@ class PhasedPlanExecution {
   size_t stable_streak_ = 0;
 
   /// Utility-prior side channel of the engine's result cache; null while the
-  /// cache is disabled. Finish() publishes full un-cancelled runs' final
-  /// utilities here under prior_key_prefix_ + view id.
+  /// cache is disabled or under kPerQuery. Full un-cancelled runs publish
+  /// their final utilities here under prior_key_prefix_ + view id.
   db::PartialAggCache* prior_cache_ = nullptr;
   std::string prior_key_prefix_;
 };
@@ -323,12 +397,13 @@ class PhasedPlanExecution {
 Result<double> AutoUtilityRange(db::Engine* engine, const ExecutionPlan& plan,
                                 DistanceMetric metric);
 
-/// Executes `plan` against `engine` and scores every view with `metric`.
-/// On success `report` (optional) carries the latency breakdown. Under
-/// kPhasedSharedScan with a pruner configured, views retired mid-flight are
-/// absent from the result (that is the point — their queries stop running);
-/// every other configuration returns one ViewResult per plan view, except
-/// that a cancelled run returns only the views completed so far.
+/// Executes `plan` against `engine` and scores every view with `metric`: a
+/// PhasedPlanExecution run to the end. On success `report` (optional)
+/// carries the latency breakdown. Under kPhasedSharedScan with a pruner
+/// configured, views retired mid-flight are absent from the result (that is
+/// the point — their queries stop running); every other configuration
+/// returns one ViewResult per plan view, except that a cancelled or
+/// budget-stopped run returns only the views completed so far.
 Result<std::vector<ViewResult>> ExecutePlan(db::Engine* engine,
                                             const ExecutionPlan& plan,
                                             DistanceMetric metric,

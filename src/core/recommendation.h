@@ -42,14 +42,14 @@ struct ExecutionProfile {
   /// so a pruned run's low_utility_views are the worst *examined* views,
   /// not the worst candidates.
   size_t examined_view_count = 0;
-  /// Phases the fused scan ran (0 under per-query execution).
+  /// Phases the run executed (1 under per-query execution).
   size_t phases_executed = 0;
   size_t queries_issued = 0;
   size_t table_scans = 0;
   uint64_t rows_scanned = 0;
-  /// Morsels of the fused scan whose inner loop ran the vectorized kernels
-  /// (db/vec/) — 0 under per-query execution or when every grouping set
-  /// fell back to the hash path.
+  /// Morsels of the run's passes whose inner loop ran the vectorized
+  /// kernels (db/vec/) — 0 when every grouping set fell back to the hash
+  /// path.
   uint64_t vectorized_morsels = 0;
   /// Of those, morsels that additionally ran the explicit-SIMD kernel tier
   /// (db/vec/simd/) — 0 when the tier is off, built scalar, or the CPU

@@ -110,27 +110,19 @@ Result<RecommendationSession> SeeDB::Open(const SeeDBRequest& request) {
       BuildExecutionPlan(pruning.kept, exec_table, session.selection_, *stats,
                          options.optimizer));
   session.plan_ = std::make_unique<ExecutionPlan>(std::move(plan));
-  SEEDB_ASSIGN_OR_RETURN(const db::Table* exec_data,
-                         engine_->catalog()->GetTable(exec_table));
-  session.total_rows_ = exec_data->num_rows();
   session.planning_seconds_ = plan_timer.ElapsedSeconds();
 
-  if (options.strategy == ExecutionStrategy::kPhasedSharedScan &&
-      !session.plan_->queries.empty()) {
-    SEEDB_ASSIGN_OR_RETURN(
-        PhasedPlanExecution run,
-        PhasedPlanExecution::Begin(engine_, *session.plan_, options.metric,
-                                   session.ExecOptions()));
-    session.phased_ =
-        std::make_unique<PhasedPlanExecution>(std::move(run));
-  }
+  SEEDB_ASSIGN_OR_RETURN(
+      PhasedPlanExecution run,
+      PhasedPlanExecution::Begin(engine_, *session.plan_, options.metric,
+                                 session.ExecOptions()));
+  session.run_ = std::make_unique<PhasedPlanExecution>(std::move(run));
   return session;
 }
 
 ExecutorOptions RecommendationSession::ExecOptions() const {
   ExecutorOptions exec;
   exec.parallelism = options_.parallelism;
-  exec.enable_simd = options_.enable_simd;
   exec.strategy = options_.strategy;
   exec.online_pruning = options_.online_pruning;
   if (exec.online_pruning.keep_k == 0) {
@@ -142,31 +134,24 @@ ExecutorOptions RecommendationSession::ExecOptions() const {
   }
   exec.cancel = cancel_.get();
   exec.trace = options_.trace;
-  // The blocking strategies enforce the session budget inside ExecutePlan
-  // (the phased session meters it itself at phase boundaries — CheckBudget —
-  // so PhasedPlanExecution ignores this field).
   exec.memory_budget_bytes = options_.memory_budget_bytes;
   return exec;
 }
 
 size_t RecommendationSession::phases_run() const {
-  if (phased_ != nullptr) return phased_->phases_run();
-  return executed_ ? 1 : 0;
+  return run_->phases_run();
 }
 
 uint64_t RecommendationSession::memory_bytes() const {
-  return phased_ != nullptr ? phased_->agg_state_bytes() : 0;
+  return run_->agg_state_bytes();
+}
+
+bool RecommendationSession::budget_exceeded() const {
+  return run_->budget_exceeded();
 }
 
 bool RecommendationSession::done() const {
-  if (finished_ || budget_exceeded_) return true;
-  if (phased_ != nullptr) return phased_->done() || cancelled();
-  return executed_;
-}
-
-Result<std::optional<ProgressUpdate>> RecommendationSession::Next() {
-  if (done()) return std::optional<ProgressUpdate>();
-  return phased_ != nullptr ? NextPhased() : NextBlocking();
+  return finished_ || run_->done() || cancelled();
 }
 
 Status RecommendationSession::Resume() {
@@ -176,116 +161,48 @@ Status RecommendationSession::Resume() {
   if (!cancelled()) {
     return Status::InvalidArgument("session is not cancelled");
   }
-  if (phased_ == nullptr && executed_) {
-    return Status::InvalidArgument(
-        "blocking strategies execute in one shot and cannot resume a "
-        "cancelled run; use the phased strategy for resumable sessions");
-  }
   // Reset the token BEFORE re-opening the scan, or the resume pass would
   // observe it and cancel itself immediately.
   cancel_->store(false, std::memory_order_relaxed);
-  if (phased_ != nullptr && phased_->cancelled()) {
-    SEEDB_RETURN_IF_ERROR(phased_->Resume());
-    if (phased_->cancelled()) return Status::OK();  // re-cancelled mid-resume
+  if (run_->cancelled()) {
+    SEEDB_RETURN_IF_ERROR(run_->Resume());
+    if (run_->cancelled()) return Status::OK();  // re-cancelled mid-resume
   }
   observed_cancel_ = false;
   return Status::OK();
 }
 
-Status RecommendationSession::CheckBudget() {
-  if (options_.memory_budget_bytes == 0 || phased_ == nullptr) {
-    return Status::OK();
-  }
-  const size_t footprint = phased_->agg_state_bytes();
-  if (footprint <= options_.memory_budget_bytes) return Status::OK();
-  budget_exceeded_ = true;
-  return Status::OutOfRange(StringPrintf(
-      "session memory budget exceeded: aggregation state is %zu bytes, "
-      "budget %zu bytes (Finish() returns partial results over the rows "
-      "scanned so far)",
-      footprint, options_.memory_budget_bytes));
-}
-
-Result<std::optional<ProgressUpdate>> RecommendationSession::NextPhased() {
+Result<std::optional<ProgressUpdate>> RecommendationSession::Next() {
+  if (done()) return std::optional<ProgressUpdate>();
   SEEDB_TRACE_SPAN_IF(next_span, "session.next_phase", trace_id_,
                       obs::TraceRecorder::ShouldTrace(options_.trace));
   SEEDB_ASSIGN_OR_RETURN(PhaseSnapshot snap,
-                         phased_->Step(/*collect_estimates=*/true));
+                         run_->Step(/*collect_estimates=*/true));
+  if (snap.cancelled) observed_cancel_ = true;
+  // The phase that blew the budget yields no update: the graceful error IS
+  // the report, and done() is true from here on.
+  if (run_->budget_exceeded()) {
+    return Status::OutOfRange(StringPrintf(
+        "session memory budget exceeded: aggregation state is %zu bytes, "
+        "budget %zu bytes (Finish() returns partial results over the work "
+        "completed so far)",
+        run_->agg_state_bytes(), options_.memory_budget_bytes));
+  }
   ProgressUpdate update;
   update.phase = snap.phase;
   update.total_phases = snap.total_phases;
   update.phase_seconds = snap.phase_seconds;
   update.rows_scanned = snap.rows_consumed;
-  update.total_rows = phased_->num_rows();
+  update.total_rows = run_->num_rows();
   update.views_active = snap.views_active;
   update.views_pruned_online = snap.views_pruned;
   update.ci_half_width = snap.ci_half_width;
-  update.memory_bytes = phased_->agg_state_bytes();
+  update.memory_bytes = run_->agg_state_bytes();
   update.early_stopped = snap.early_stopped;
   update.cancelled = snap.cancelled;
-  if (snap.cancelled) observed_cancel_ = true;
-  // The phase that blew the budget yields no update: the graceful error IS
-  // the report, and done() is true from here on.
-  SEEDB_RETURN_IF_ERROR(CheckBudget());
   if (snap.has_estimates) {
     update.top_views = ProvisionalTopK(std::move(snap.estimates), options_.k,
                                        snap.ci_half_width);
-  }
-  if (sink_) sink_(update);
-  return std::optional<ProgressUpdate>(std::move(update));
-}
-
-// Non-phased strategies run in one shot: the first Next() executes the
-// whole plan and yields a single update carrying the final ranking with
-// degenerate (zero-width) bounds.
-Result<std::optional<ProgressUpdate>> RecommendationSession::NextBlocking() {
-  SEEDB_TRACE_SPAN_IF(next_span, "session.next_phase", trace_id_,
-                      obs::TraceRecorder::ShouldTrace(options_.trace));
-  Stopwatch exec_timer;
-  SEEDB_ASSIGN_OR_RETURN(
-      std::vector<ViewResult> results,
-      ExecutePlan(engine_, *plan_, options_.metric, ExecOptions(), &report_));
-  executed_ = true;
-  blocking_results_ = std::move(results);
-  if (report_.cancelled) observed_cancel_ = true;
-  if (report_.budget_exceeded) {
-    // Same contract as the phased path: the Next() that observed the breach
-    // yields no update — the graceful error IS the report — and Finish()
-    // assembles partial results from the work completed before it.
-    budget_exceeded_ = true;
-    return Status::OutOfRange(StringPrintf(
-        "session memory budget exceeded: aggregation state is %zu bytes, "
-        "budget %zu bytes (Finish() returns partial results over the work "
-        "completed so far)",
-        report_.agg_state_bytes, options_.memory_budget_bytes));
-  }
-
-  ProgressUpdate update;
-  update.phase = 1;
-  update.total_phases = 1;
-  update.phase_seconds = exec_timer.ElapsedSeconds();
-  // Fused runs report the scan's own row count (exact even under
-  // cancellation); a per-query run made one full pass per query, so a
-  // cancelled one estimates by the fraction of queries that completed.
-  if (options_.strategy != ExecutionStrategy::kPerQuery &&
-      report_.table_scans > 0) {
-    update.rows_scanned = report_.rows_scanned;
-  } else if (report_.cancelled && !plan_->queries.empty()) {
-    update.rows_scanned = static_cast<uint64_t>(total_rows_) *
-                          report_.queries_executed / plan_->queries.size();
-  } else {
-    update.rows_scanned = total_rows_;
-  }
-  update.total_rows = total_rows_;
-  update.views_active = blocking_results_->size();
-  update.cancelled = report_.cancelled;
-  std::vector<ViewResult> ranked = *blocking_results_;
-  for (ViewResult& vr : SelectTopK(std::move(ranked), options_.k)) {
-    ProvisionalView pv;
-    pv.utility = vr.utility;
-    pv.lower = pv.upper = vr.utility;
-    pv.view = std::move(vr.view);
-    update.top_views.push_back(std::move(pv));
   }
   if (sink_) sink_(update);
   return std::optional<ProgressUpdate>(std::move(update));
@@ -301,48 +218,19 @@ Result<RecommendationSet> RecommendationSession::Finish() {
   // Complete any remaining work. A cancelled or budget-stopped session
   // skips straight to assembling partial results. Without a sink the drain
   // is silent (Step without estimates — the cheap path); with one, each
-  // drained phase goes through NextPhased() so the sink sees every update.
-  std::vector<ViewResult> results;
-  if (phased_ != nullptr) {
-    while (!done()) {
-      if (sink_) {
-        Result<std::optional<ProgressUpdate>> update = NextPhased();
-        if (!update.ok()) {
-          // A budget breach mid-drain stops the drain, not the Finish();
-          // any other error is real.
-          if (!budget_exceeded_) return update.status();
-          break;
-        }
-      } else {
-        SEEDB_RETURN_IF_ERROR(
-            phased_->Step(/*collect_estimates=*/false).status());
-        Status budget = CheckBudget();
-        if (!budget.ok()) break;  // stop the drain; assemble partial results
-      }
-    }
-    SEEDB_ASSIGN_OR_RETURN(results, phased_->Finish(&report_));
-  } else {
-    if (!executed_) {
-      if (sink_) {
-        // Route through NextBlocking() so the single update reaches the
-        // sink even when the caller skips straight to Finish(). A budget
-        // breach surfaces there as OutOfRange; Finish() still assembles the
-        // partial results like the phased drain does.
-        Status drive = NextBlocking().status();
-        if (!drive.ok() && !budget_exceeded_) return drive;
-        results = std::move(*blocking_results_);
-      } else {
-        SEEDB_ASSIGN_OR_RETURN(
-            results,
-            ExecutePlan(engine_, *plan_, options_.metric, ExecOptions(),
-                        &report_));
-        if (report_.cancelled) observed_cancel_ = true;
-        if (report_.budget_exceeded) budget_exceeded_ = true;
-      }
+  // drained phase goes through Next() so the sink sees every update.
+  while (!done()) {
+    if (sink_) {
+      Result<std::optional<ProgressUpdate>> update = Next();
+      // A budget breach mid-drain stops the drain, not the Finish(); any
+      // other error is real.
+      if (!update.ok() && !budget_exceeded()) return update.status();
     } else {
-      results = std::move(*blocking_results_);
+      SEEDB_RETURN_IF_ERROR(run_->Step(/*collect_estimates=*/false).status());
     }
   }
+  SEEDB_ASSIGN_OR_RETURN(std::vector<ViewResult> results,
+                         run_->Finish(&report_));
   finished_ = true;
 
   RecommendationSet set;
@@ -375,13 +263,13 @@ Result<RecommendationSet> RecommendationSession::Finish() {
   set.profile.phases_executed = report_.phases_executed;
   set.profile.early_stopped = report_.early_stopped;
   // "Cancelled" means work was actually truncated — a Cancel() that lands
-  // after the last phase (or after a blocking run returned) leaves a
-  // complete, trustworthy result and is not flagged.
+  // after the last phase leaves a complete, trustworthy result and is not
+  // flagged.
   set.profile.cancelled =
       report_.cancelled ||
-      (phased_ != nullptr && cancelled() && !report_.early_stopped &&
-       phased_->rows_consumed() < phased_->num_rows());
-  set.profile.budget_exceeded = budget_exceeded_;
+      (cancelled() && !report_.early_stopped &&
+       run_->rows_consumed() < run_->num_rows());
+  set.profile.budget_exceeded = report_.budget_exceeded;
   // Exact per-run counts, summed by the executor from the run's own batches:
   // concurrent sessions on one engine do not bleed into each other's
   // profiles, whatever the strategy.

@@ -10,10 +10,11 @@
 //     strategy, pruning, sampling), the primary entry point; the flat
 //     SeeDBOptions struct survives as its payload and the old Recommend()
 //     overloads as thin wrappers.
-//   * RecommendationSession — runs the phased shared scan under caller
-//     control: every Next() executes one phase and yields a ProgressUpdate
-//     (provisional top-k with CI bounds, phase wall time, views pruned so
-//     far, rows scanned). Cancel() is observed at morsel boundaries;
+//   * RecommendationSession — runs the plan under caller control, whatever
+//     the strategy: every Next() executes one phase and yields a
+//     ProgressUpdate (provisional top-k with CI bounds, phase wall time,
+//     views pruned so far, rows scanned, memory footprint). Cancel() is
+//     observed at morsel boundaries (between queries under kPerQuery);
 //     early-stop ends the scan once the top-k is CI-stable (§3.3 endgame);
 //     Finish() assembles the final RecommendationSet, which carries the
 //     online-pruned views with their partial utility estimates.
@@ -134,9 +135,9 @@ class SeeDBRequest {
     options_.sample_seed = sample_seed;
     return *this;
   }
-  /// Per-session cap on the run's aggregation-state footprint (bytes):
-  /// the fused scan's merged state, metered at phase boundaries, or the
-  /// cumulative merged state of kPerQuery's one-query batches; see
+  /// Per-session cap on the run's aggregation-state footprint (bytes),
+  /// summed over its passes and metered after every phase (and under
+  /// kPerQuery before each query starts); see
   /// SeeDBOptions::memory_budget_bytes. 0 = unlimited.
   SeeDBRequest& WithMemoryBudget(size_t budget_bytes) {
     options_.memory_budget_bytes = budget_bytes;
@@ -173,7 +174,8 @@ struct ProvisionalView {
   /// consumed the whole table).
   double utility = 0.0;
   /// Hoeffding confidence bounds (utility -/+ eps(m)); +/-infinity when the
-  /// interval is undefined (delta <= 0 or a non-phased strategy).
+  /// interval is undefined (delta <= 0), and equal to the utility once the
+  /// scan has consumed the whole table.
   double lower = 0.0;
   double upper = 0.0;
 };
@@ -193,9 +195,8 @@ struct ProgressUpdate {
   size_t views_pruned_online = 0;
   /// The Hoeffding half-width behind the provisional bounds.
   double ci_half_width = 0.0;
-  /// Merged aggregation-state footprint of the scan after this phase, in
-  /// bytes — what SeeDBOptions::memory_budget_bytes meters (0 mid-run under
-  /// the blocking strategies, whose footprint is only known at the end).
+  /// Merged aggregation-state footprint of the run's passes after this
+  /// phase, in bytes — what SeeDBOptions::memory_budget_bytes meters.
   uint64_t memory_bytes = 0;
   /// Provisional top-k, utility descending. Empty when this boundary's
   /// estimates were not computable (e.g. no row matched the selection yet).
@@ -224,17 +225,17 @@ using ProgressSink = std::function<void(const ProgressUpdate&)>;
 ///
 /// Thread-compatibility: one thread drives Next()/Finish(); Cancel() may be
 /// called from any thread at any time and is observed at morsel boundaries
-/// inside the in-flight phase. Distinct sessions over one Engine are safe
-/// to run concurrently.
+/// inside the in-flight phase (under kPerQuery, before the next query).
+/// Distinct sessions over one Engine are safe to run concurrently.
 class RecommendationSession {
  public:
   RecommendationSession(RecommendationSession&&) noexcept = default;
   RecommendationSession& operator=(RecommendationSession&&) noexcept = default;
 
   /// Executes the next phase and reports it; nullopt once all phases ran
-  /// (or the session was cancelled / early-stopped before this call).
-  /// Non-phased strategies execute in full on the first call and yield a
-  /// single update carrying the final ranking.
+  /// (or the session was cancelled / early-stopped before this call). The
+  /// update of the phase that consumes the last row carries the final
+  /// ranking with zero-width bounds; kPerQuery runs exactly that one phase.
   Result<std::optional<ProgressUpdate>> Next();
 
   /// Requests cooperative cancellation. An in-flight phase stops within one
@@ -246,12 +247,10 @@ class RecommendationSession {
   /// Re-opens a cancelled session instead of discarding it: the cancel
   /// token is reset, the cut-short phase's missed morsels are scanned now
   /// (keeping the merged cross-phase aggregates — every row ends up covered
-  /// exactly once), and Next() continues from the next phase; the final
-  /// top-k equals an uninterrupted run's. Only the phased strategy is
-  /// resumable — the blocking strategies execute in one shot, so a
-  /// cancelled run's work is gone (error), except that a session cancelled
-  /// before its first Next() just re-arms. Errors when the session is not
-  /// cancelled or already finished.
+  /// exactly once; under kPerQuery the queries not yet run run now), and
+  /// Next() continues from the next phase; the final top-k equals an
+  /// uninterrupted run's. Errors when the session is not cancelled or
+  /// already finished.
   Status Resume();
 
   /// Attaches a push-style consumer: every ProgressUpdate this session
@@ -269,15 +268,14 @@ class RecommendationSession {
   /// A phase pushed the aggregation-state footprint past
   /// SeeDBOptions::memory_budget_bytes; the session stopped there and
   /// Finish() assembles partial results.
-  bool budget_exceeded() const { return budget_exceeded_; }
+  bool budget_exceeded() const;
 
   /// Phases actually executed so far — keeps counting when Finish() runs
-  /// the remaining phases silently (1 after a completed blocking run).
+  /// the remaining phases silently.
   size_t phases_run() const;
 
-  /// Merged aggregation-state footprint of the scan so far, in bytes (0
-  /// under the blocking strategies, which do not surface per-run
-  /// footprints) — what the memory budget meters.
+  /// Merged aggregation-state footprint of the run's passes so far, in
+  /// bytes — what the memory budget meters.
   uint64_t memory_bytes() const;
 
   /// Terminal call: completes any remaining work (silently, no updates) and
@@ -291,10 +289,6 @@ class RecommendationSession {
   RecommendationSession() = default;
 
   ExecutorOptions ExecOptions() const;
-  Result<std::optional<ProgressUpdate>> NextPhased();
-  Result<std::optional<ProgressUpdate>> NextBlocking();
-  /// OutOfRange when the scan's footprint exceeds the session budget.
-  Status CheckBudget();
 
   db::Engine* engine_ = nullptr;
   std::string table_;
@@ -308,25 +302,17 @@ class RecommendationSession {
   PruningReport static_pruning_;
   std::unique_ptr<ExecutionPlan> plan_;
   double planning_seconds_ = 0.0;
-  /// Rows of the table the plan scans (the sample when materialized
-  /// sampling redirected it).
-  size_t total_rows_ = 0;
   Stopwatch total_timer_;
 
-  // Execution state. phased_ is engaged for kPhasedSharedScan; the other
-  // strategies execute blocking inside the first Next().
-  std::unique_ptr<PhasedPlanExecution> phased_;
+  // Execution state, begun at Open() for every strategy.
+  std::unique_ptr<PhasedPlanExecution> run_;
   ExecutionReport report_;
-  /// Results of a completed blocking execution (non-phased strategies).
-  std::optional<std::vector<ViewResult>> blocking_results_;
-  bool executed_ = false;
   bool finished_ = false;
 
   /// Shared with the scan so Cancel() stays valid across session moves.
   std::shared_ptr<std::atomic<bool>> cancel_ =
       std::make_shared<std::atomic<bool>>(false);
   bool observed_cancel_ = false;
-  bool budget_exceeded_ = false;
   ProgressSink sink_;
 };
 

@@ -79,10 +79,9 @@ Result<Table> Engine::Execute(const GroupByQuery& query) {
   return std::move(results[0]);
 }
 
-Result<std::vector<Table>> Engine::Execute(const GroupingSetsQuery& query,
-                                           SharedScanStats* stats) {
+Result<std::vector<Table>> Engine::Execute(const GroupingSetsQuery& query) {
   SEEDB_ASSIGN_OR_RETURN(std::vector<std::vector<Table>> results,
-                         ExecuteShared({query}, PerQueryOptions(), stats));
+                         ExecuteShared({query}, PerQueryOptions()));
   return std::move(results[0]);
 }
 

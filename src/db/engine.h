@@ -143,10 +143,8 @@ class Engine {
 
   /// Executes a multi-group-by query as a one-query batch: one
   /// single-threaded table scan that bypasses the result cache — the
-  /// paper's per-query baseline. `stats` (optional) receives the batch's
-  /// own scan statistics.
-  Result<std::vector<Table>> Execute(const GroupingSetsQuery& query,
-                                     SharedScanStats* stats = nullptr);
+  /// paper's per-query baseline.
+  Result<std::vector<Table>> Execute(const GroupingSetsQuery& query);
 
   /// Executes a whole batch of multi-group-by queries in ONE fused
   /// morsel-driven pass (db/shared_scan.h). All queries must target the same

@@ -15,15 +15,12 @@ Result<core::ExecutionStrategy> ParseStrategy(const std::string& name) {
   if (name == "per-query" || name == "perquery") {
     return core::ExecutionStrategy::kPerQuery;
   }
-  if (name == "shared-scan" || name == "shared") {
-    return core::ExecutionStrategy::kSharedScan;
-  }
   if (name == "phased-shared-scan" || name == "phased") {
     return core::ExecutionStrategy::kPhasedSharedScan;
   }
   return Status::InvalidArgument(
       "unknown strategy '" + name +
-      "' (expected per-query|shared-scan|phased-shared-scan)");
+      "' (expected per-query|phased-shared-scan)");
 }
 
 JsonValue ViewToJson(const core::ProvisionalView& pv) {

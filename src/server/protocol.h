@@ -115,7 +115,7 @@ struct OpenSpec {
   size_t k = 0;
   size_t bottom_k = 0;
   std::string metric;    // core::ParseDistanceMetric names
-  std::string strategy;  // per-query | shared-scan | phased-shared-scan
+  std::string strategy;  // per-query | phased-shared-scan
   size_t phases = 0;
   std::string pruner;  // none | ci | mab
   size_t early_stop = 0;

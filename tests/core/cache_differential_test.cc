@@ -88,7 +88,6 @@ struct Config {
 TEST_F(CacheDifferentialTest,
        WarmRunsBitIdenticalAcrossStrategyPrunerAndPhases) {
   const Config configs[] = {
-      {ExecutionStrategy::kSharedScan, OnlinePruner::kNone, 1},
       {ExecutionStrategy::kPhasedSharedScan, OnlinePruner::kNone, 1},
       {ExecutionStrategy::kPhasedSharedScan, OnlinePruner::kNone, 4},
       {ExecutionStrategy::kPhasedSharedScan, OnlinePruner::kConfidenceInterval,
@@ -136,7 +135,7 @@ TEST_F(CacheDifferentialTest, FullyWarmRunScansNoRows) {
   db::Engine engine(&catalog_);
   engine.EnableResultCache(64 * 1024 * 1024);
   const SeeDBRequest request =
-      Request(ExecutionStrategy::kSharedScan, OnlinePruner::kNone, 1);
+      Request(ExecutionStrategy::kPhasedSharedScan, OnlinePruner::kNone, 1);
   const RecommendationSet cold = Run(&engine, request);
   EXPECT_GT(cold.profile.rows_scanned, 0u);
   const RecommendationSet warm = Run(&engine, request);
@@ -151,7 +150,7 @@ TEST_F(CacheDifferentialTest, TableVersionBumpInvalidatesWarmEntries) {
   db::Engine engine(&catalog_);
   engine.EnableResultCache(64 * 1024 * 1024);
   const SeeDBRequest request =
-      Request(ExecutionStrategy::kSharedScan, OnlinePruner::kNone, 1);
+      Request(ExecutionStrategy::kPhasedSharedScan, OnlinePruner::kNone, 1);
   const RecommendationSet first = Run(&engine, request);
 
   // Replace the table with differently-seeded data: same name and schema,
@@ -190,10 +189,10 @@ TEST_F(CacheDifferentialTest, LruEvictionUnderBudgetNeverChangesAnswers) {
   db::Engine reference(&catalog_);
 
   const SeeDBRequest wide =
-      Request(ExecutionStrategy::kSharedScan, OnlinePruner::kNone, 1);
+      Request(ExecutionStrategy::kPhasedSharedScan, OnlinePruner::kNone, 1);
   SeeDBRequest narrow("synth");
-  narrow.WithTopK(3).WithBottomK(2).WithParallelism(1).WithStrategy(
-      ExecutionStrategy::kSharedScan);  // whole-table: distinct fingerprint
+  narrow.WithTopK(3).WithBottomK(2).WithParallelism(1).WithPhases(
+      1);  // whole-table: distinct fingerprint
 
   const RecommendationSet wide_ref = Run(&reference, wide);
   const RecommendationSet narrow_ref = Run(&reference, narrow);

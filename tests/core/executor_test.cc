@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 
 #include "core/view_space.h"
@@ -51,6 +52,7 @@ class ExecutorTest : public ::testing::Test {
     ExecutorOptions exec;
     exec.parallelism = parallelism;
     exec.strategy = strategy;
+    exec.online_pruning.num_phases = 1;  // one uninterrupted fused pass
     return ExecutePlan(engine_, plan, DistanceMetric::kEarthMovers, exec,
                        report)
         .ValueOrDie();
@@ -119,9 +121,9 @@ TEST_F(ExecutorTest, ReportRecordsPerQueryTimes) {
   EXPECT_EQ(report.query_seconds.size(), 2 * views_.size());
   EXPECT_GT(report.total_seconds, 0.0);
   EXPECT_GE(report.MaxQuerySeconds(), report.MeanQuerySeconds());
-  // Per-query execution has no fused pass to break into phases.
-  EXPECT_TRUE(report.phase_seconds.empty());
-  EXPECT_EQ(report.phases_executed, 0u);
+  // Per-query execution runs its passes in one phase.
+  EXPECT_EQ(report.phase_seconds.size(), 1u);
+  EXPECT_EQ(report.phases_executed, 1u);
 }
 
 TEST_F(ExecutorTest, EngineCountsMatchPlanPrediction) {
@@ -166,7 +168,7 @@ TEST_P(SharedScanEquivalenceTest, SharedScanMatchesPerQuery) {
 
   auto per_query = UtilityMap(Run(options));
   auto fused = UtilityMap(
-      Run(options, 4, nullptr, ExecutionStrategy::kSharedScan));
+      Run(options, 4, nullptr, ExecutionStrategy::kPhasedSharedScan));
   ASSERT_EQ(per_query.size(), fused.size());
   for (const auto& [id, utility] : per_query) {
     ASSERT_TRUE(fused.count(id)) << id;
@@ -182,7 +184,7 @@ INSTANTIATE_TEST_SUITE_P(AllCombos, SharedScanEquivalenceTest,
 TEST_F(ExecutorTest, SharedScanCountsOneScanForWholePlan) {
   engine_->ResetStats();
   Run(OptimizerOptions::Baseline(), 2, nullptr,
-      ExecutionStrategy::kSharedScan);
+      ExecutionStrategy::kPhasedSharedScan);
   db::EngineStatsSnapshot stats = engine_->stats();
   EXPECT_EQ(stats.table_scans, 1u);
   EXPECT_EQ(stats.shared_scan_batches, 1u);
@@ -190,12 +192,12 @@ TEST_F(ExecutorTest, SharedScanCountsOneScanForWholePlan) {
   EXPECT_EQ(stats.queries_executed, 2 * views_.size());
 }
 
-// Fused strategies do not pretend per-query latencies exist: the report
-// carries per-phase wall times instead (a single phase for kSharedScan).
+// The fused scan does not pretend per-query latencies exist: the report
+// carries per-phase wall times instead (a single phase here).
 TEST_F(ExecutorTest, SharedScanReportRecordsTheFusedPassNotFakeQueryTimes) {
   ExecutionReport report;
   auto results = Run(OptimizerOptions::Baseline(), 1, &report,
-                     ExecutionStrategy::kSharedScan);
+                     ExecutionStrategy::kPhasedSharedScan);
   EXPECT_EQ(results.size(), views_.size());
   EXPECT_TRUE(report.query_seconds.empty());
   ASSERT_EQ(report.phase_seconds.size(), 1u);
@@ -208,7 +210,7 @@ TEST_F(ExecutorTest, SharedScanReportRecordsTheFusedPassNotFakeQueryTimes) {
 TEST_F(ExecutorTest, SharedScanReportCountsVectorizedMorsels) {
   ExecutionReport report;
   auto results = Run(OptimizerOptions::All(), 1, &report,
-                     ExecutionStrategy::kSharedScan);
+                     ExecutionStrategy::kPhasedSharedScan);
   EXPECT_FALSE(results.empty());
   // Every grouping set here is categorical with a small dictionary, so the
   // whole fused pass must take the vectorized inner loop.
@@ -237,8 +239,8 @@ TEST_F(ExecutorTest, AutoUtilityRangeDerivesEmdRangeFromGroupCounts) {
   EXPECT_DOUBLE_EQ(*l1, 2.0);
 }
 
-// --- Memory budgets under the blocking strategies (the phased session's
-// OutOfRange contract, extended to kPerQuery / kSharedScan). ---
+// --- Memory budgets under every strategy (the session's OutOfRange
+// contract, at the executor level). ---
 
 TEST_F(ExecutorTest, PerQueryBudgetStopsIssuingQueriesGracefully) {
   const db::TableStats* stats = catalog_->GetStats("t").ValueOrDie();
@@ -264,6 +266,41 @@ TEST_F(ExecutorTest, PerQueryBudgetStopsIssuingQueriesGracefully) {
                               exec, &parallel_report);
   ASSERT_TRUE(parallel.ok()) << parallel.status();
   EXPECT_TRUE(parallel_report.budget_exceeded);
+  EXPECT_LT(parallel_report.queries_executed, plan.queries.size());
+}
+
+// Per-query runs check the cancel token before each query starts; a resume
+// runs the queries not yet run and lands on the uninterrupted utilities.
+TEST_F(ExecutorTest, PerQueryCancelThenResumeRunsTheRemainingQueries) {
+  const db::TableStats* stats = catalog_->GetStats("t").ValueOrDie();
+  ExecutionPlan plan = BuildExecutionPlan(views_, "t", selection_, *stats,
+                                          OptimizerOptions::Baseline())
+                           .ValueOrDie();
+  std::atomic<bool> cancel{true};
+  ExecutorOptions exec;
+  exec.strategy = ExecutionStrategy::kPerQuery;
+  exec.cancel = &cancel;
+  auto run = PhasedPlanExecution::Begin(engine_, plan,
+                                        DistanceMetric::kEarthMovers, exec);
+  ASSERT_TRUE(run.ok()) << run.status();
+  auto snap = run->Step(/*collect_estimates=*/false);
+  ASSERT_TRUE(snap.ok()) << snap.status();
+  EXPECT_TRUE(snap->cancelled);
+  EXPECT_EQ(run->rows_consumed(), 0u);
+
+  cancel.store(false);
+  ASSERT_TRUE(run->Resume().ok());
+  EXPECT_FALSE(run->cancelled());
+  EXPECT_TRUE(run->done());
+  ExecutionReport report;
+  auto resumed = run->Finish(&report);
+  ASSERT_TRUE(resumed.ok()) << resumed.status();
+  EXPECT_FALSE(report.cancelled);
+  EXPECT_EQ(report.phases_executed, 1u);
+  EXPECT_EQ(report.queries_executed, plan.queries.size());
+  EXPECT_EQ(report.table_scans, plan.queries.size());
+  EXPECT_EQ(UtilityMap(*resumed),
+            UtilityMap(Run(OptimizerOptions::Baseline())));
 }
 
 TEST_F(ExecutorTest, SharedScanBudgetFlagsTheBreachAtItsOneBoundary) {
@@ -273,7 +310,8 @@ TEST_F(ExecutorTest, SharedScanBudgetFlagsTheBreachAtItsOneBoundary) {
                                           OptimizerOptions::All())
                            .ValueOrDie();
   ExecutorOptions exec;
-  exec.strategy = ExecutionStrategy::kSharedScan;
+  exec.strategy = ExecutionStrategy::kPhasedSharedScan;
+  exec.online_pruning.num_phases = 1;
   exec.memory_budget_bytes = 64;
   auto results = ExecutePlan(engine_, plan, DistanceMetric::kEarthMovers,
                              exec, &report);

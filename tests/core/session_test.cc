@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
 #include <set>
 #include <thread>
 
@@ -124,12 +125,13 @@ TEST_F(SessionTest, DrainedSessionMatchesBlockingRecommend) {
 }
 
 TEST_F(SessionTest, LastUpdateOfNonPhasedStrategiesCarriesFinalRanking) {
-  for (ExecutionStrategy strategy :
-       {ExecutionStrategy::kPerQuery, ExecutionStrategy::kSharedScan}) {
+  const SeeDBRequest base = SeeDBRequest("synth").Where(selection_).WithTopK(2);
+  for (const SeeDBRequest& request :
+       {SeeDBRequest(base).WithStrategy(ExecutionStrategy::kPerQuery),
+        SeeDBRequest(base).WithPhases(1)}) {
+    SCOPED_TRACE(ExecutionStrategyToString(request.options().strategy));
     SeeDB seedb(engine_);
-    auto session = seedb.Open(
-        SeeDBRequest("synth").Where(selection_).WithTopK(2).WithStrategy(
-            strategy));
+    auto session = seedb.Open(request);
     ASSERT_TRUE(session.ok());
     auto update = session->Next();
     ASSERT_TRUE(update.ok());
@@ -142,6 +144,10 @@ TEST_F(SessionTest, LastUpdateOfNonPhasedStrategiesCarriesFinalRanking) {
     auto set = session->Finish();
     ASSERT_TRUE(set.ok());
     EXPECT_EQ((*update)->top_views[0].view, set->top_views[0].view());
+    // The update's utilities are the final, exact ones.
+    EXPECT_EQ((*update)->top_views[0].utility, set->top_views[0].utility());
+    EXPECT_EQ((*update)->top_views[0].lower, (*update)->top_views[0].upper);
+    EXPECT_EQ(set->profile.phases_executed, 1u);
   }
 }
 
@@ -338,10 +344,8 @@ TEST_F(SessionTest, ConcurrentPerQuerySessionsCountOnlyTheirOwnWork) {
 
 TEST_F(SessionTest, SharedScanStrategyIsCancellableToo) {
   SeeDB seedb(engine_);
-  auto session = seedb.Open(SeeDBRequest("synth")
-                                .Where(selection_)
-                                .WithTopK(3)
-                                .WithStrategy(ExecutionStrategy::kSharedScan));
+  auto session = seedb.Open(
+      SeeDBRequest("synth").Where(selection_).WithTopK(3).WithPhases(1));
   ASSERT_TRUE(session.ok());
   session->Cancel();
   // The one-shot fused scan observes the token before any morsel: the run
@@ -581,13 +585,14 @@ TEST_F(SessionTest, BudgetStopsTheSilentFinishDrainToo) {
 TEST_F(SessionTest, BlockingStrategiesEnforceTheBudgetToo) {
   SeeDB seedb(engine_);
   for (ExecutionStrategy strategy :
-       {ExecutionStrategy::kPerQuery, ExecutionStrategy::kSharedScan}) {
+       {ExecutionStrategy::kPerQuery, ExecutionStrategy::kPhasedSharedScan}) {
     SeeDBRequest request =
         SeeDBRequest("synth").Where(selection_).WithTopK(3).WithMemoryBudget(
             64);
     {
       SeeDBOptions opts = request.options();
       opts.strategy = strategy;
+      opts.online_pruning.num_phases = 1;
       request.WithOptions(opts);
     }
     auto session = seedb.Open(request);
@@ -609,6 +614,7 @@ TEST_F(SessionTest, BlockingStrategiesEnforceTheBudgetToo) {
     {
       SeeDBOptions opts = fine.options();
       opts.strategy = strategy;
+      opts.online_pruning.num_phases = 1;
       fine.WithOptions(opts);
     }
     auto ok = seedb.Run(fine);
@@ -623,7 +629,8 @@ TEST_F(SessionTest, FusedProfileReportsVectorizedMorsels) {
   SeeDBRequest request = SeeDBRequest("synth").Where(selection_).WithTopK(3);
   {
     SeeDBOptions opts = request.options();
-    opts.strategy = ExecutionStrategy::kSharedScan;
+    opts.strategy = ExecutionStrategy::kPhasedSharedScan;
+    opts.online_pruning.num_phases = 1;
     request.WithOptions(opts);
   }
   auto set = seedb.Run(request);
@@ -641,14 +648,57 @@ TEST_F(SessionTest, FusedProfileReportsVectorizedMorsels) {
 
 TEST_F(SessionTest, ProgressUpdatesCarryTheMemoryFootprint) {
   SeeDB seedb(engine_);
-  auto session = seedb.Open(PhasedRequest(3));
-  ASSERT_TRUE(session.ok());
-  auto update = session->Next();
-  ASSERT_TRUE(update.ok());
-  ASSERT_TRUE(update->has_value());
-  EXPECT_GT((*update)->memory_bytes, 0u);
-  EXPECT_EQ((*update)->memory_bytes, session->memory_bytes());
-  ASSERT_TRUE(session->Finish().ok());
+  for (const SeeDBRequest& request :
+       {PhasedRequest(3), SeeDBRequest("synth").Where(selection_).WithTopK(3)
+                              .WithStrategy(ExecutionStrategy::kPerQuery)}) {
+    SCOPED_TRACE(ExecutionStrategyToString(request.options().strategy));
+    auto session = seedb.Open(request);
+    ASSERT_TRUE(session.ok());
+    auto update = session->Next();
+    ASSERT_TRUE(update.ok());
+    ASSERT_TRUE(update->has_value());
+    EXPECT_GT((*update)->memory_bytes, 0u);
+    EXPECT_EQ((*update)->memory_bytes, session->memory_bytes());
+    ASSERT_TRUE(session->Finish().ok());
+  }
+}
+
+// The phase that consumes the last row scores the views once: its update
+// carries the final utilities with zero-width bounds, and Finish() returns
+// those results without finalizing any scan again.
+TEST_F(SessionTest, LastPhaseScoresTheViewsOnce) {
+  SeeDB seedb(engine_);
+  for (const SeeDBRequest& request :
+       {PhasedRequest(4), SeeDBRequest("synth").Where(selection_).WithTopK(3)
+                              .WithStrategy(ExecutionStrategy::kPerQuery)}) {
+    SCOPED_TRACE(ExecutionStrategyToString(request.options().strategy));
+    auto session = seedb.Open(request);
+    ASSERT_TRUE(session.ok());
+    std::optional<ProgressUpdate> last;
+    while (true) {
+      auto update = session->Next();
+      ASSERT_TRUE(update.ok()) << update.status();
+      if (!update->has_value()) break;
+      last = **update;
+    }
+    ASSERT_TRUE(last.has_value());
+    EXPECT_EQ(last->ci_half_width, 0.0);
+
+    const db::EngineStatsSnapshot before = engine_->stats();
+    auto set = session->Finish();
+    ASSERT_TRUE(set.ok()) << set.status();
+    const db::EngineStatsSnapshot after = engine_->stats();
+    EXPECT_EQ(after.table_scans, before.table_scans);
+    EXPECT_EQ(after.queries_executed, before.queries_executed);
+
+    ASSERT_EQ(last->top_views.size(), set->top_views.size());
+    for (size_t i = 0; i < set->top_views.size(); ++i) {
+      EXPECT_EQ(last->top_views[i].view, set->top_views[i].view());
+      EXPECT_EQ(last->top_views[i].utility, set->top_views[i].utility());
+      EXPECT_EQ(last->top_views[i].lower, last->top_views[i].utility);
+      EXPECT_EQ(last->top_views[i].upper, last->top_views[i].utility);
+    }
+  }
 }
 
 // --- ProgressSink: push-style updates. ---
@@ -678,10 +728,8 @@ TEST_F(SessionTest, ProgressSinkSeesEveryPhaseIncludingFinishDrain) {
 
 TEST_F(SessionTest, ProgressSinkFiresOnceForBlockingStrategies) {
   SeeDB seedb(engine_);
-  auto session = seedb.Open(SeeDBRequest("synth")
-                                .Where(selection_)
-                                .WithTopK(2)
-                                .WithStrategy(ExecutionStrategy::kSharedScan));
+  auto session = seedb.Open(
+      SeeDBRequest("synth").Where(selection_).WithTopK(2).WithPhases(1));
   ASSERT_TRUE(session.ok());
   size_t pushes = 0;
   ProvisionalView first_top;
@@ -718,44 +766,54 @@ class SessionResumeTest : public ::testing::Test {
 };
 
 TEST_F(SessionResumeTest, CancelThenResumeEqualsUninterruptedRun) {
-  SeeDB seedb(&engine_);
-  auto truth = seedb.Run(Request(6));
-  ASSERT_TRUE(truth.ok()) << truth.status();
+  // The phased run is cancelled between phases 1 and 6. A per-query run is
+  // one phase, so its cancel lands after the work and the resume re-arms a
+  // run with nothing left to scan.
+  for (const SeeDBRequest& request :
+       {Request(6), SeeDBRequest("sales").Where(laserwave_).WithTopK(2)
+                        .WithStrategy(ExecutionStrategy::kPerQuery)}) {
+    SCOPED_TRACE(ExecutionStrategyToString(request.options().strategy));
+    const size_t phases =
+        request.options().strategy == ExecutionStrategy::kPerQuery ? 1 : 6;
+    SeeDB seedb(&engine_);
+    auto truth = seedb.Run(request);
+    ASSERT_TRUE(truth.ok()) << truth.status();
 
-  auto session = seedb.Open(Request(6));
-  ASSERT_TRUE(session.ok());
-  ASSERT_TRUE(session->Next().ok());
-  session->Cancel();
-  EXPECT_TRUE(session->done());
-  {
-    auto drained = session->Next();
-    ASSERT_TRUE(drained.ok());
-    EXPECT_FALSE(drained->has_value());
-  }
+    auto session = seedb.Open(request);
+    ASSERT_TRUE(session.ok());
+    ASSERT_TRUE(session->Next().ok());
+    session->Cancel();
+    EXPECT_TRUE(session->done());
+    {
+      auto drained = session->Next();
+      ASSERT_TRUE(drained.ok());
+      EXPECT_FALSE(drained->has_value());
+    }
 
-  ASSERT_TRUE(session->Resume().ok());
-  EXPECT_FALSE(session->cancelled());
-  EXPECT_FALSE(session->done());
-  size_t more = 0;
-  while (true) {
-    auto update = session->Next();
-    ASSERT_TRUE(update.ok());
-    if (!update->has_value()) break;
-    ++more;
-  }
-  EXPECT_EQ(more, 5u);  // phases 2..6 after the resume
+    ASSERT_TRUE(session->Resume().ok());
+    EXPECT_FALSE(session->cancelled());
+    EXPECT_EQ(session->done(), phases == 1);
+    size_t more = 0;
+    while (true) {
+      auto update = session->Next();
+      ASSERT_TRUE(update.ok());
+      if (!update->has_value()) break;
+      ++more;
+    }
+    EXPECT_EQ(more, phases - 1);  // phases 2..6 after the resume
 
-  auto set = session->Finish();
-  ASSERT_TRUE(set.ok()) << set.status();
-  EXPECT_FALSE(set->profile.cancelled);
-  EXPECT_EQ(set->profile.phases_executed, 6u);
-  EXPECT_EQ(set->profile.rows_scanned, truth->profile.rows_scanned);
-  ASSERT_EQ(set->top_views.size(), truth->top_views.size());
-  for (size_t i = 0; i < set->top_views.size(); ++i) {
-    EXPECT_EQ(set->top_views[i].view(), truth->top_views[i].view());
-    // Bit-identical: the resumed scan covered exactly the same rows in the
-    // same single-worker order as the uninterrupted one.
-    EXPECT_EQ(set->top_views[i].utility(), truth->top_views[i].utility());
+    auto set = session->Finish();
+    ASSERT_TRUE(set.ok()) << set.status();
+    EXPECT_FALSE(set->profile.cancelled);
+    EXPECT_EQ(set->profile.phases_executed, phases);
+    EXPECT_EQ(set->profile.rows_scanned, truth->profile.rows_scanned);
+    ASSERT_EQ(set->top_views.size(), truth->top_views.size());
+    for (size_t i = 0; i < set->top_views.size(); ++i) {
+      EXPECT_EQ(set->top_views[i].view(), truth->top_views[i].view());
+      // Bit-identical: the resumed scan covered exactly the same rows in the
+      // same single-worker order as the uninterrupted one.
+      EXPECT_EQ(set->top_views[i].utility(), truth->top_views[i].utility());
+    }
   }
 }
 
@@ -788,23 +846,10 @@ TEST_F(SessionResumeTest, ResumeDemandsACancelledUnfinishedSession) {
   // Finished: refused (even though it was cancelled).
   EXPECT_FALSE(session->Resume().ok());
 
-  // Blocking strategies cannot resume a cancelled run...
-  auto blocking = seedb.Open(SeeDBRequest("sales")
-                                 .Where(laserwave_)
-                                 .WithTopK(1)
-                                 .WithStrategy(
-                                     ExecutionStrategy::kSharedScan));
-  ASSERT_TRUE(blocking.ok());
-  ASSERT_TRUE(blocking->Next().ok());  // executes the one-shot run
-  blocking->Cancel();
-  EXPECT_FALSE(blocking->Resume().ok());
-
-  // ...except a cancel that landed before the first Next() just re-arms.
-  auto unstarted = seedb.Open(SeeDBRequest("sales")
-                                  .Where(laserwave_)
-                                  .WithTopK(1)
-                                  .WithStrategy(
-                                      ExecutionStrategy::kSharedScan));
+  // A cancel that landed before the first Next() of a one-phase run just
+  // re-arms it.
+  auto unstarted = seedb.Open(
+      SeeDBRequest("sales").Where(laserwave_).WithTopK(1).WithPhases(1));
   ASSERT_TRUE(unstarted.ok());
   unstarted->Cancel();
   ASSERT_TRUE(unstarted->Resume().ok());

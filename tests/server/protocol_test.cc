@@ -210,7 +210,13 @@ TEST(ProtocolTest, OpenRejectsBadFields) {
   EXPECT_FALSE(open_with("").ok());  // neither sql nor table
   EXPECT_FALSE(open_with(",\"sql\":\"SELECT broken\"").ok());
   EXPECT_FALSE(open_with(",\"table\":\"t\",\"metric\":\"nope\"").ok());
-  EXPECT_FALSE(open_with(",\"table\":\"t\",\"strategy\":\"warp\"").ok());
+  // The fused one-shot scan is the phased strategy with one phase; its old
+  // names are as unknown as any other.
+  for (const char* strategy : {"warp", "shared-scan", "shared"}) {
+    auto open = open_with(std::string(",\"table\":\"t\",\"strategy\":\"") +
+                          strategy + "\"");
+    EXPECT_EQ(open.status().code(), StatusCode::kInvalidArgument) << strategy;
+  }
   EXPECT_FALSE(open_with(",\"table\":\"t\",\"pruner\":\"psychic\"").ok());
   EXPECT_FALSE(open_with(",\"table\":\"t\",\"k\":0").ok());
   EXPECT_FALSE(open_with(",\"table\":\"t\",\"k\":\"three\"").ok());

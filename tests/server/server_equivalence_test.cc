@@ -92,7 +92,8 @@ std::vector<MatrixConfig> BuildMatrix() {
     if (strategy == 0) {
       spec.strategy = "per-query";
     } else if (strategy == 1) {
-      spec.strategy = "shared-scan";
+      spec.strategy = "phased-shared-scan";  // one uninterrupted pass
+      spec.phases = 1;
     } else {
       spec.strategy = "phased-shared-scan";
       spec.phases = 1 + pick(8);

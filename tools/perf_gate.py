@@ -7,8 +7,8 @@ threshold in total wall-clock. Configurations are matched on
 (strategy, threads, phases); configs present in only one file are reported
 but never fail the gate (the matrix is allowed to evolve).
 
-Per-phase mean latencies (`mean_unit_ms`: mean phase time under the fused
-strategies, mean query time under per-query) are compared too, but only as
+Per-phase mean latencies (`mean_unit_ms`: mean phase time under the phased
+scan, mean query time under per-query) are compared too, but only as
 advisory `::warning::` annotations — phase-time variance on shared runners
 is higher than total wall-clock variance, so unit regressions never flip
 the exit code.
@@ -46,11 +46,12 @@ def load_runs(path):
     runs = {}
     for run in doc.get("runs", []):
         strategy = run.get("strategy")
-        # Artifacts written before the phased engine carry no "phases" key;
-        # normalize to what the bench emits today (0 under per-query — no
-        # fused pass — and 1 for a one-shot fused scan) so old-vs-new
+        # A per-query run is always one phase, but artifacts written before
+        # every strategy ran through the phased driver report 0 for it, and
+        # artifacts written before the phased engine carry no "phases" key
+        # at all; normalize both to what the bench emits today so old-vs-new
         # comparisons keep matching.
-        phases = run.get("phases", 0 if strategy == "per-query" else 1)
+        phases = 1 if strategy == "per-query" else run.get("phases", 1)
         runs[(strategy, run.get("threads"), phases)] = run
     return runs
 

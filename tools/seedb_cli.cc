@@ -91,9 +91,9 @@ class Cli {
         "  \\tables / \\schema <t>            catalog inspection\n"
         "  \\bin <t> <measure> <bins>        derive a binned dimension\n"
         "  \\set k <n> | metric <name> | parallel <n> | prune on|off\n"
-        "  \\set strategy shared|perquery|phased\n"
-        "                                   fused shared-scan, per-query, or\n"
-        "                                   phased scan with online pruning\n"
+        "  \\set strategy perquery|phased\n"
+        "                                   per-query passes, or the fused\n"
+        "                                   scan in phases (online pruning)\n"
         "  \\set phases <n>                  phase count for strategy phased\n"
         "  \\set online_pruner none|ci|mab   mid-scan view pruner (phased)\n"
         "  \\set early_stop <n>              stop once top-k is CI-stable for\n"
@@ -101,7 +101,6 @@ class Cli {
         "  \\cancel [n]                      cancel the NEXT query's scan\n"
         "                                   after n phases (default 1)\n"
         "  \\set budget <bytes>              per-session memory budget\n"
-        "  \\set simd on|off                 explicit-SIMD kernel tier\n"
         "                                   (0 = unlimited)\n"
         "  \\stats                           engine counters (scans, rows,\n"
         "                                   vectorized morsels, ...)\n"
@@ -204,15 +203,13 @@ class Cli {
     } else if (key == "strategy") {
       std::string name;
       in >> name;
-      if (name == "shared") {
-        options_.strategy = core::ExecutionStrategy::kSharedScan;
-      } else if (name == "perquery") {
+      if (name == "perquery") {
         options_.strategy = core::ExecutionStrategy::kPerQuery;
       } else if (name == "phased") {
         options_.strategy = core::ExecutionStrategy::kPhasedSharedScan;
       } else {
         return Status::InvalidArgument(
-            "usage: \\set strategy shared|perquery|phased");
+            "usage: \\set strategy perquery|phased");
       }
     } else if (key == "phases") {
       size_t phases = 0;
@@ -240,13 +237,6 @@ class Cli {
       }
     } else if (key == "budget") {
       in >> options_.memory_budget_bytes;
-    } else if (key == "simd") {
-      std::string state;
-      in >> state;
-      if (state != "on" && state != "off") {
-        return Status::InvalidArgument("usage: \\set simd on|off");
-      }
-      options_.enable_simd = state == "on";
     } else if (key == "prune") {
       std::string state;
       in >> state;
@@ -255,19 +245,18 @@ class Cli {
     } else {
       return Status::InvalidArgument(
           "usage: \\set k <n> | metric <name> | parallel <n> | "
-          "strategy shared|perquery|phased | phases <n> | "
+          "strategy perquery|phased | phases <n> | "
           "online_pruner none|ci|mab | early_stop <n> | budget <bytes> | "
-          "simd on|off | prune on|off");
+          "prune on|off");
     }
     std::printf(
         "ok (k=%zu metric=%s parallel=%zu strategy=%s phases=%zu "
-        "online_pruner=%s simd=%s)\n",
+        "online_pruner=%s)\n",
         options_.k, core::DistanceMetricToString(options_.metric),
         options_.parallelism,
         core::ExecutionStrategyToString(options_.strategy),
         options_.online_pruning.num_phases,
-        core::OnlinePrunerToString(options_.online_pruning.pruner),
-        options_.enable_simd ? "on" : "off");
+        core::OnlinePrunerToString(options_.online_pruning.pruner));
     return Status::OK();
   }
 
@@ -325,8 +314,8 @@ class Cli {
     if (options_.strategy != core::ExecutionStrategy::kPhasedSharedScan) {
       return Status::InvalidArgument(
           "\\cancel applies to the streaming strategy only — run "
-          "\\set strategy phased first (non-phased queries execute in one "
-          "blocking shot, so there is no phase boundary to cancel at)");
+          "\\set strategy phased first (per-query runs are one phase, so "
+          "there is no phase boundary to cancel at)");
     }
     size_t phases = 1;
     in >> phases;
@@ -546,7 +535,7 @@ class Cli {
 
     // Stream the phased scan: one progress line per phase, so a long scan
     // shows the provisional top view tightening instead of a frozen prompt.
-    // Non-phased strategies run in one blocking shot inside Finish().
+    // A per-query run is one phase, run silently inside Finish().
     const bool streaming =
         options_.strategy == core::ExecutionStrategy::kPhasedSharedScan;
     const size_t cancel_after = cancel_after_phases_;
